@@ -25,12 +25,12 @@ from .models import (  # noqa: F401
     embed, true_order, theta_dim, random_theta, rng_for, derive_seed,
 )
 from .fitting import (  # noqa: F401
-    FitOptions, FitResult, ProfileCurve, fit_ac, fit_k, fit_lm_em, fit_vr, profile,
+    FitResult, ProfileCurve, fit_ac, fit_k, fit_lm_em, fit_vr, profile,
 )
 from .criterion import (  # noqa: F401
     OrderEstimate, PenaltySchedule, ScheduleReport, crit, dim_weights,
     estimate_order_global, estimate_order_local, estimate_orders, linear_weights,
-    parse_schedule, penalty, validate_schedule,
+    parse_schedule, validate_schedule,
 )
 from .entropy import (  # noqa: F401
     EntropyValue, kl_divergence, kl_mixture_quadrature, kl_regression,

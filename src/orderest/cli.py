@@ -15,8 +15,9 @@ import sys
 from pathlib import Path
 
 from .criterion import crit, estimate_orders
-from .entropy import project_entropy, stein_bound
-from .experiments import ExperimentSpec, parse_spec, run, write_artifact
+from .experiments import (
+    ExperimentSpec, entropy_table, parse_spec, report_invariants, run, write_artifact,
+)
 from .fitting import fit_k, profile
 from .models import UsageError, fmt, sample_from_csv, sample_to_csv, simulate
 
@@ -98,13 +99,7 @@ def cmd_order(args) -> int:
 
 def cmd_entropy(args) -> int:
     spec = _apply_overrides(_load_spec(args.spec), args)
-    k_top = args.k_top or spec.k_max
-    print("K,direction,value,method,tol")
-    for k in range(1, k_top + 1):
-        p = project_entropy(spec.config, spec.theta_star, k)
-        s = stein_bound(spec.config, spec.theta_star, k)
-        print(f"{k},target_to_class,{fmt(p.value)},{p.method},{fmt(p.tol)}")
-        print(f"{k},class_to_target,{fmt(s.value)},{s.method},{fmt(s.tol)}")
+    print(entropy_table(spec, args.k_top or spec.k_max), end="")
     return 0
 
 
@@ -114,16 +109,7 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    from .experiments import invariant_suite
-    failures = []
-    for name, ok, detail in invariant_suite(args.seed or 0):
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-        if not ok:
-            failures.append(name)
-    if failures:
-        print(f"invariant suite failed: {', '.join(failures)}", file=sys.stderr)
-        return 1
-    return 0
+    return report_invariants(args.seed or 0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -87,14 +87,10 @@ class PenaltySchedule:
         return math.sqrt(n * loglog(n)) * loglog(n) ** 0.05
 
     def penalty(self, n: float, k: int) -> float:
+        """pen(n, K) = v_n * D(K)."""
         if not 1 <= k <= len(self.d):
             raise UsageError(f"K={k} outside 1..{len(self.d)}")
         return self.v(n) * self.d[k - 1]
-
-
-def penalty(schedule: PenaltySchedule, n: float, k: int) -> float:
-    """v_n * D(K); loglog is evaluated as log(log(max(n, e^e)))."""
-    return schedule.penalty(n, k)
 
 
 def dim_weights(family: Family, k_max: int, scale: float = 1.0) -> tuple[float, ...]:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import PenaltySchedule, crit_values, _global_from_crit, _local_from_crit
+from .criterion import PenaltySchedule, estimate_orders
 from .entropy import kl_divergence, project_entropy
-from .fitting import FitOptions, fit_k, profile
+from .fitting import fit_k, profile
 from .models import (
     Family, ModelConfig, Sample, Theta, UsageError, derive_seed, embed,
     log_likelihood, random_theta, rng_for, simulate, true_order,
@@ -89,35 +89,26 @@ def _resolve_k_star(config: ModelConfig, theta_star: Theta, k_star: int | None) 
     return true_order(config, theta_star) if k_star is None else int(k_star)
 
 
-def _estimate_from_profile(prof, schedule, n, k_max, k_scan_max) -> tuple[int, int]:
-    values = crit_values(prof.logliks(), schedule, n)
-    k_local, _ = _local_from_crit(values, k_scan_max)
-    k_global = _global_from_crit(values, k_max)
-    return k_local, k_global
-
-
-def one_order_trial(config: ModelConfig, theta_star: Theta, schedule: PenaltySchedule,
-                    n: int, seed: int, t: int, k_max: int, k_scan_max: int,
-                    options: FitOptions | None = None) -> tuple[int, int]:
-    """(k_local, k_global) for trial t; depends only on (seed, t)."""
-    tseed = derive_seed(seed, _TRIAL_STREAM, t)
-    sample = simulate(config, theta_star, n, tseed)
-    prof = profile(sample, config, max(k_max, k_scan_max + 1), options)
-    return _estimate_from_profile(prof, schedule, n, k_max, k_scan_max)
+def _trial(config: ModelConfig, theta: Theta, schedule: PenaltySchedule, n: int,
+           seed: int, t: int, k_max: int, k_scan_max: int) -> tuple[Sample, int, int]:
+    """Trial t: simulate from theta, profile, estimate.  Returns (sample,
+    k_local, k_global); depends only on (seed, t)."""
+    sample = simulate(config, theta, n, derive_seed(seed, _TRIAL_STREAM, t))
+    prof = profile(sample, config, max(k_max, k_scan_max + 1))
+    est = estimate_orders(prof, schedule, n, k_max, k_scan_max)
+    return sample, est.k_local, est.k_global
 
 
 def order_trials(config: ModelConfig, theta_star: Theta, schedule: PenaltySchedule,
                  n: int, trials: int, seed: int, k_max: int,
-                 k_scan_max: int | None = None, options: FitOptions | None = None,
-                 first_trial: int = 0) -> np.ndarray:
+                 k_scan_max: int | None = None, first_trial: int = 0) -> np.ndarray:
     """(trials, 2) array of (k_local, k_global), rows indexed by trial."""
     if trials < 1:
         raise UsageError("trials must be >= 1")
     k_scan_max = k_max if k_scan_max is None else k_scan_max
     out = np.empty((trials, 2), dtype=np.int64)
     for i, t in enumerate(range(first_trial, first_trial + trials)):
-        out[i] = one_order_trial(config, theta_star, schedule, n, seed, t,
-                                 k_max, k_scan_max, options)
+        out[i] = _trial(config, theta_star, schedule, n, seed, t, k_max, k_scan_max)[1:]
     return out
 
 
@@ -131,12 +122,12 @@ def tally_orders(orders: np.ndarray, k_star: int, estimator: str) -> tuple[int, 
 
 def mc_error_probs(config: ModelConfig, theta_star: Theta, schedule: PenaltySchedule,
                    estimator: str, n: int, trials: int, seed: int, k_max: int,
-                   k_scan_max: int | None = None, k_star: int | None = None,
-                   options: FitOptions | None = None) -> ErrorProbEstimate:
+                   k_scan_max: int | None = None,
+                   k_star: int | None = None) -> ErrorProbEstimate:
     """Plain Monte Carlo estimate of the three order-selection probabilities."""
     k_star = _resolve_k_star(config, theta_star, k_star)
     orders = order_trials(config, theta_star, schedule, n, trials, seed, k_max,
-                          k_scan_max, options)
+                          k_scan_max)
     n_under, n_correct, n_over = tally_orders(orders, k_star, estimator)
     return ErrorProbEstimate(
         n=n, trials=trials,
@@ -163,8 +154,7 @@ def _weighted_stats(logw: np.ndarray, mask: np.ndarray, trials: int) -> tuple[fl
 def is_underestimation_prob(config: ModelConfig, theta_star: Theta, theta0: Theta | None,
                             schedule: PenaltySchedule, estimator: str, n: int, trials: int,
                             seed: int, k_max: int, k_scan_max: int | None = None,
-                            k_star: int | None = None,
-                            options: FitOptions | None = None) -> ErrorProbEstimate:
+                            k_star: int | None = None) -> ErrorProbEstimate:
     """Importance-sampled P*{K_hat < K*}, sampling from theta0 in the K*-1 class.
 
     theta0 defaults to the divergence projection of theta_star onto the
@@ -191,10 +181,8 @@ def is_underestimation_prob(config: ModelConfig, theta_star: Theta, theta0: Thet
     logw = np.empty(trials)
     khat = np.empty(trials, dtype=np.int64)
     for t in range(trials):
-        tseed = derive_seed(seed, _TRIAL_STREAM, t)
-        sample = simulate(config, theta0, n, tseed)
-        prof = profile(sample, config, max(k_max, k_scan_max + 1), options)
-        k_local, k_global = _estimate_from_profile(prof, schedule, n, k_max, k_scan_max)
+        sample, k_local, k_global = _trial(config, theta0, schedule, n, seed, t,
+                                           k_max, k_scan_max)
         khat[t] = k_local if estimator == "local" else k_global
         logw[t] = (log_likelihood(config, theta_star, sample)
                    - log_likelihood(config, theta0, sample))
@@ -284,7 +272,7 @@ def _probe_divergence(config: ModelConfig, theta_star: Theta, theta: Theta) -> f
 
 def peeling_assert(sample: Sample, config: ModelConfig, k1: int, k2: int,
                    theta_star: Theta, n_probes: int = 200, tol: float = 1e-9,
-                   seed: int = 0, options: FitOptions | None = None) -> PeelingReport:
+                   seed: int = 0) -> PeelingReport:
     """Evaluate both empirical-process inequalities on one dataset.
 
     Right side: (sup-loglik over the K2-th class minus over the K1-th) / n.
@@ -301,19 +289,18 @@ def peeling_assert(sample: Sample, config: ModelConfig, k1: int, k2: int,
     n = sample.n
     if n < 1:
         raise UsageError("need a nonempty sample")
-    opts = options or FitOptions()
     extra = None
     if config.family is Family.LM:
         emb1 = embed(config, theta_star, k1)
         extra = [(emb1.weights, emb1.means)]
-    fit1 = fit_k(sample, k1, config, opts, extra_inits=extra)
+    fit1 = fit_k(sample, k1, config, extra_inits=extra)
     if k1 == k2:
         fit2 = fit1
     else:
         if config.family is Family.LM:
             emb2 = embed(config, fit1.theta, k2)
             extra = [(emb2.weights, emb2.means)]
-        fit2 = fit_k(sample, k2, config, opts, extra_inits=extra)
+        fit2 = fit_k(sample, k2, config, extra_inits=extra)
     # sup over the K1-th class must dominate ell_n(theta*) for the algebra below
     ll_star = log_likelihood(config, theta_star, sample)
     ll1 = max(fit1.loglik, ll_star)
@@ -345,14 +332,13 @@ def peeling_assert(sample: Sample, config: ModelConfig, k1: int, k2: int,
 # Strong-law trace
 # ---------------------------------------------------------------------------
 
-def slln_trace(config: ModelConfig, theta_star: Theta, k: int, n_grid, seed: int,
-               options: FitOptions | None = None) -> tuple[tuple[int, float], ...]:
+def slln_trace(config: ModelConfig, theta_star: Theta, k: int, n_grid,
+               seed: int) -> tuple[tuple[int, float], ...]:
     """sup over the K-th class of (ell_n(theta) - ell_n(theta*)) / n along one
     growing path; converges to minus the class projection distance."""
     n_grid = [int(n) for n in n_grid]
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
         raise UsageError("n_grid must be increasing and positive")
-    opts = options or FitOptions()
     k_star = true_order(config, theta_star)
     full = simulate(config, theta_star, n_grid[-1], seed)
     out = []
@@ -362,7 +348,7 @@ def slln_trace(config: ModelConfig, theta_star: Theta, k: int, n_grid, seed: int
         if config.family is Family.LM and k >= k_star:
             emb = embed(config, theta_star, k)
             extra = [(emb.weights, emb.means)]
-        res = fit_k(sub, k, config, opts, extra_inits=extra)
+        res = fit_k(sub, k, config, extra_inits=extra)
         ll = res.loglik
         if k >= k_star:  # theta* is feasible, the supremum cannot fall below it
             ll = max(ll, log_likelihood(config, theta_star, sub))

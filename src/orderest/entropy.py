@@ -25,8 +25,8 @@ from scipy.special import logsumexp
 
 from . import guillotine
 from .models import (
-    LOG_2PI, Family, ModelConfig, Theta, ThetaAC, ThetaLM, ThetaVR,
-    UsageError, embed, rng_for, true_order, validate_theta,
+    Family, ModelConfig, Theta, ThetaAC, ThetaLM, ThetaVR, UsageError, embed,
+    mixture_log_components, rng_for, true_order, validate_theta,
 )
 
 _PROJECTION_STREAM = 301
@@ -65,15 +65,6 @@ def kl_regression(theta_a: Theta, theta_b: Theta, config: ModelConfig) -> Entrop
 # Mixture quadrature
 # ---------------------------------------------------------------------------
 
-def _mixture_logpdf(z: np.ndarray, theta: ThetaLM, sigma: float) -> np.ndarray:
-    means = np.asarray(theta.means)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(np.asarray(theta.weights))
-    comp = (-0.5 * LOG_2PI - math.log(sigma)
-            - 0.5 * ((z[:, None] - means[None, :]) / sigma) ** 2 + log_w[None, :])
-    return logsumexp(comp, axis=1)
-
-
 def _mixture_kl_panels(theta_a: ThetaLM, theta_b: ThetaLM, config: ModelConfig,
                        lo: float, hi: float, panels: int, nodes: int = 8) -> float:
     pts, wts = np.polynomial.legendre.leggauss(nodes)
@@ -82,8 +73,10 @@ def _mixture_kl_panels(theta_a: ThetaLM, theta_b: ThetaLM, config: ModelConfig,
     half = 0.5 * (edges[1] - edges[0])
     z = (centers[:, None] + half * pts[None, :]).ravel()
     w = (half * np.broadcast_to(wts, (panels, nodes))).ravel()
-    la = _mixture_logpdf(z, theta_a, config.sigma)
-    lb = _mixture_logpdf(z, theta_b, config.sigma)
+    la = logsumexp(mixture_log_components(z, theta_a.weights, theta_a.means, config.sigma),
+                   axis=1)
+    lb = logsumexp(mixture_log_components(z, theta_b.weights, theta_b.means, config.sigma),
+                   axis=1)
     return float(np.sum(w * np.exp(la) * (la - lb)))
 
 
@@ -192,6 +185,21 @@ def _project_regression(config: ModelConfig, target: Theta, k: int) -> tuple[Ent
             ThetaAC(tree))
 
 
+def _project(config: ModelConfig, target: Theta, k: int, return_argmin: bool,
+             starts: int, seed: int, reverse: bool):
+    if k < 1:
+        raise UsageError("K must be >= 1")
+    validate_theta(config, target)
+    if true_order(config, target) <= k:
+        out = EntropyValue(0.0, "closed_form", 0.0)
+        argmin = embed(config, _reduced(config, target), k)
+    elif config.family is Family.LM:
+        out, argmin = _project_lm(config, target, k, reverse, starts, seed)
+    else:
+        out, argmin = _project_regression(config, target, k)
+    return (out, argmin) if return_argmin else out
+
+
 def project_entropy(config: ModelConfig, target: Theta, k: int,
                     return_argmin: bool = False, starts: int = 8, seed: int = 7):
     """H(P_target | Pi_K): distance from the target to the K-th class.
@@ -199,18 +207,7 @@ def project_entropy(config: ModelConfig, target: Theta, k: int,
     Closed form for VR (orthonormal tail sum) and AC (population tree DP);
     multi-start local search over Theta_K for LM.
     """
-    if k < 1:
-        raise UsageError("K must be >= 1")
-    validate_theta(config, target)
-    if true_order(config, target) <= k:
-        out = EntropyValue(0.0, "closed_form", 0.0)
-        argmin = embed(config, _reduced(config, target), k)
-        return (out, argmin) if return_argmin else out
-    if config.family is Family.LM:
-        out, argmin = _project_lm(config, target, k, reverse=False, starts=starts, seed=seed)
-    else:
-        out, argmin = _project_regression(config, target, k)
-    return (out, argmin) if return_argmin else out
+    return _project(config, target, k, return_argmin, starts, seed, reverse=False)
 
 
 def stein_bound(config: ModelConfig, target: Theta, k: int,
@@ -222,18 +219,7 @@ def stein_bound(config: ModelConfig, target: Theta, k: int,
     project_entropy by the L2 identity; for LM the optimization runs with the
     divergence arguments swapped.
     """
-    if k < 1:
-        raise UsageError("K must be >= 1")
-    validate_theta(config, target)
-    if true_order(config, target) <= k:
-        out = EntropyValue(0.0, "closed_form", 0.0)
-        argmin = embed(config, _reduced(config, target), k)
-        return (out, argmin) if return_argmin else out
-    if config.family is Family.LM:
-        out, argmin = _project_lm(config, target, k, reverse=True, starts=starts, seed=seed)
-    else:
-        out, argmin = _project_regression(config, target, k)
-    return (out, argmin) if return_argmin else out
+    return _project(config, target, k, return_argmin, starts, seed, reverse=True)
 
 
 def _reduced(config: ModelConfig, theta: Theta) -> Theta:

@@ -59,7 +59,7 @@ from .models import (
 
 MODES = ("consistency", "under_exponent", "over_rate", "entropy_table", "invariants")
 
-_MODEL_KEYS = {"family", "sigma", "m_lo", "m_hi", "vr_basis", "ac_depth_max"}
+_MODEL_KEYS = {"family", "sigma", "m_lo", "m_hi", "ac_depth_max"}
 _RUN_KEYS = {"mode", "estimator", "n_grid", "trials", "seed", "k_max", "output_dir"}
 
 
@@ -316,6 +316,31 @@ def invariant_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
     return results
 
 
+def report_invariants(seed: int) -> int:
+    """Run invariant_suite, print one PASS/FAIL line per suite; exit status 1 on failure."""
+    failures = []
+    for name, ok, detail in invariant_suite(seed):
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        if not ok:
+            failures.append(name)
+    if failures:
+        print(f"invariant suite failed: {', '.join(failures)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def entropy_table(spec: ExperimentSpec, k_top: int) -> str:
+    """CSV of both projection directions of theta* onto the classes K = 1..k_top."""
+    buf = io.StringIO()
+    buf.write("K,direction,value,method,tol\n")
+    for k in range(1, k_top + 1):
+        p = project_entropy(spec.config, spec.theta_star, k)
+        s = stein_bound(spec.config, spec.theta_star, k)
+        buf.write(f"{k},target_to_class,{fmt(p.value)},{p.method},{fmt(p.tol)}\n")
+        buf.write(f"{k},class_to_target,{fmt(s.value)},{s.method},{fmt(s.tol)}\n")
+    return buf.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
@@ -374,24 +399,9 @@ def run(spec: ExperimentSpec, command: str = "orderest campaign") -> int:
         return 0
 
     if spec.mode == "entropy_table":
-        buf = io.StringIO()
-        buf.write("K,direction,value,method,tol\n")
-        for k in range(1, spec.k_max + 1):
-            p = project_entropy(spec.config, spec.theta_star, k)
-            s = stein_bound(spec.config, spec.theta_star, k)
-            buf.write(f"{k},target_to_class,{fmt(p.value)},{p.method},{fmt(p.tol)}\n")
-            buf.write(f"{k},class_to_target,{fmt(s.value)},{s.method},{fmt(s.tol)}\n")
-        write_artifact(out_dir / f"{prefix}_results.csv", buf.getvalue(), spec_text, command)
-        print(buf.getvalue(), end="")
+        table = entropy_table(spec, spec.k_max)
+        write_artifact(out_dir / f"{prefix}_results.csv", table, spec_text, command)
+        print(table, end="")
         return 0
 
-    # invariants
-    failures = []
-    for name, ok, detail in invariant_suite(spec.seed):
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-        if not ok:
-            failures.append(name)
-    if failures:
-        print(f"invariant suite failed: {', '.join(failures)}", file=sys.stderr)
-        return 1
-    return 0
+    return report_invariants(spec.seed)

@@ -1,23 +1,26 @@
 """Maximum-likelihood fitting per family and the per-K profile curve.
 
-- LM: multi-start EM with known sigma.  E-step computes posterior
-  responsibilities; M-step sets weights to responsibility averages and means
-  to responsibility-weighted means clipped to [m_lo, m_hi] (the constrained
-  argmax, so the usual EM ascent property survives the clipping).
-- VR: maximizing the likelihood is a box-constrained least-squares problem;
-  cyclic coordinate descent with exact clipped coordinate updates converges
-  to the global optimum of the convex quadratic.
+- LM: multi-start EM with known sigma, stopped when the log-likelihood gains
+  less than EM_TOL or after EM_MAX_ITER steps.  E-step computes posterior
+  responsibilities from models.mixture_log_components; M-step sets weights
+  to responsibility averages and means to responsibility-weighted means
+  clipped to [m_lo, m_hi] (the constrained argmax, so the usual EM ascent
+  property survives the clipping).
+- VR: maximizing the likelihood is a box-constrained least-squares problem.
+  _box_qp runs cyclic coordinate descent with exact clipped coordinate
+  updates, which converges to the global optimum of the convex quadratic;
+  fit_vr and profile() both call it, each with its own Gram matrix.
 - AC: exact dynamic programming over guillotine trees (see guillotine.py).
 
-profile() fits K = 1..K_top, warm-starting each level from the embedded
-previous solution, and enforces the nestedness property that the maximized
-log-likelihood never decreases in K.
+fit_k() dispatches a single-K fit by family.  profile() fits K = 1..K_top,
+warm-starting each level from the embedded previous solution, and enforces
+the nestedness property that the maximized log-likelihood never decreases
+in K.
 """
 
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,23 +28,17 @@ from scipy.special import logsumexp
 
 from . import guillotine
 from .models import (
-    LOG_2PI, Family, ModelConfig, Sample, Theta, ThetaAC, ThetaLM, ThetaVR,
-    UsageError, embed, fmt, log_likelihood, rng_for, vr_basis_matrix,
+    Family, ModelConfig, Sample, Theta, ThetaAC, ThetaLM, ThetaVR, UsageError,
+    embed, fmt, log_likelihood, mixture_log_components, rng_for, vr_basis_matrix,
 )
 
 K_HARD_CAP = 64  # mixture sizes past this are a usage error, not a model
+EM_TOL = 1e-8  # stop EM once a step gains less log-likelihood than this
+EM_MAX_ITER = 500
+VR_TOL = 1e-10  # coordinate descent stops when no coefficient moves this far
+_VR_MAX_SWEEPS = 10000
 
-_EM_STREAM = 101  # rng_for sub-stream tags
-_PROFILE_STREAM = 102
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    starts: int = 10
-    tol: float = 1e-8
-    max_iter: int = 500
-    vr_tol: float = 1e-10
-    track_paths: bool = False
+_EM_STREAM = 101  # rng_for sub-stream tag of the jittered EM starts
 
 
 @dataclass(frozen=True)
@@ -92,10 +89,8 @@ class ProfileCurve:
 # LM: EM
 # ---------------------------------------------------------------------------
 
-def _em_run(z: np.ndarray, config: ModelConfig, w0: np.ndarray, m0: np.ndarray,
-            tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, float, int, bool, tuple]:
-    sigma = config.sigma
-    norm_const = -0.5 * LOG_2PI - math.log(sigma)
+def _em_run(z: np.ndarray, config: ModelConfig, w0: np.ndarray,
+            m0: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int, bool, tuple]:
     w = np.asarray(w0, dtype=float).copy()
     m = np.asarray(m0, dtype=float).copy()
     n = z.shape[0]
@@ -106,16 +101,14 @@ def _em_run(z: np.ndarray, config: ModelConfig, w0: np.ndarray, m0: np.ndarray,
     converged = False
     iters = 0
     def eval_ll(w, m):
-        with np.errstate(divide="ignore"):
-            log_w = np.log(w)
-        comp = norm_const - 0.5 * ((z[:, None] - m[None, :]) / sigma) ** 2 + log_w[None, :]
+        comp = mixture_log_components(z, w, m, config.sigma)
         per_obs = logsumexp(comp, axis=1)
         return comp, per_obs, float(per_obs.sum())
 
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, EM_MAX_ITER + 1):
         comp, per_obs, ll = eval_ll(w, m)
         path.append(ll)
-        if ll - prev < tol:
+        if ll - prev < EM_TOL:
             converged = True
             break
         prev = ll
@@ -146,14 +139,13 @@ def _lm_start_list(z: np.ndarray, k: int, config: ModelConfig, starts: int,
 
 
 def fit_lm_em(sample: Sample, k: int, config: ModelConfig, starts: int = 10,
-              tol: float = 1e-8, max_iter: int = 500,
               extra_inits: list[tuple] | None = None,
               track_paths: bool = False) -> FitResult:
     """Best of `starts` EM runs; ties within 1e-12 go to the earliest start."""
     if config.family is not Family.LM or sample.family is not Family.LM:
         raise UsageError("fit_lm_em needs an LM config and sample")
-    if k < 1 or starts < 1 or tol <= 0.0:
-        raise UsageError("need K >= 1, starts >= 1, tol > 0")
+    if k < 1 or starts < 1:
+        raise UsageError("need K >= 1 and starts >= 1")
     if k > K_HARD_CAP:
         raise UsageError(f"K={k} exceeds the hard cap {K_HARD_CAP}")
     z = sample.z
@@ -164,7 +156,7 @@ def fit_lm_em(sample: Sample, k: int, config: ModelConfig, starts: int = 10,
     best = None
     paths = []
     for w0, m0 in inits:
-        w, m, ll, iters, conv, path = _em_run(z, config, w0, m0, tol, max_iter)
+        w, m, ll, iters, conv, path = _em_run(z, config, w0, m0)
         paths.append(path)
         if best is None or ll > best[2] + 1e-12:
             best = (w, m, ll, iters, conv)
@@ -179,27 +171,15 @@ def fit_lm_em(sample: Sample, k: int, config: ModelConfig, starts: int = 10,
 # VR: box-constrained least squares by coordinate descent
 # ---------------------------------------------------------------------------
 
-def fit_vr(sample: Sample, k: int, config: ModelConfig, tol: float = 1e-10,
-           max_sweeps: int = 10000, warm: ThetaVR | None = None) -> FitResult:
-    """Global optimum of the convex box-constrained quadratic, to tolerance tol."""
-    if config.family is not Family.VR or sample.family is not Family.VR:
-        raise UsageError("fit_vr needs a VR config and sample")
-    if k < 1:
-        raise UsageError("K must be >= 1")
-    x, y = sample.x, sample.y
-    basis = vr_basis_matrix(x, k)
-    gram = basis.T @ basis
-    b = basis.T @ y
-    theta = np.zeros(k)
-    if warm is not None:
-        m = min(k, warm.k)
-        theta[:m] = warm.coeffs[:m]
-    lo, hi = config.m_lo, config.m_hi
+def _box_qp(gram: np.ndarray, b: np.ndarray, theta: np.ndarray, lo: float, hi: float,
+            tol: float) -> tuple[np.ndarray, int, bool]:
+    """Minimize theta' gram theta - 2 b' theta over [lo, hi]^k, starting from
+    theta and updating it in place; returns (theta, sweeps, converged)."""
     converged = False
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, _VR_MAX_SWEEPS + 1):
         delta = 0.0
-        for j in range(k):
+        for j in range(theta.size):
             gjj = gram[j, j]
             if gjj <= 0.0:
                 new = 0.0  # basis column vanishes on the data; coefficient is free
@@ -211,6 +191,18 @@ def fit_vr(sample: Sample, k: int, config: ModelConfig, tol: float = 1e-10,
         if delta < tol:
             converged = True
             break
+    return theta, sweeps, converged
+
+
+def fit_vr(sample: Sample, k: int, config: ModelConfig, tol: float = VR_TOL) -> FitResult:
+    """Global optimum of the convex box-constrained quadratic, to tolerance tol."""
+    if config.family is not Family.VR or sample.family is not Family.VR:
+        raise UsageError("fit_vr needs a VR config and sample")
+    if k < 1:
+        raise UsageError("K must be >= 1")
+    basis = vr_basis_matrix(sample.x, k)
+    theta, sweeps, converged = _box_qp(basis.T @ basis, basis.T @ sample.y, np.zeros(k),
+                                       config.m_lo, config.m_hi, tol)
     result = ThetaVR(tuple(theta))
     return FitResult(theta=result, loglik=log_likelihood(config, result, sample),
                      iterations=sweeps, converged=converged, starts_used=1)
@@ -236,16 +228,12 @@ def fit_ac(sample: Sample, k: int, config: ModelConfig) -> FitResult:
 
 
 def fit_k(sample: Sample, k: int, config: ModelConfig,
-          options: FitOptions | None = None,
           extra_inits: list | None = None) -> FitResult:
-    """Family dispatch for a single-K fit."""
-    opts = options or FitOptions()
+    """Family dispatch for a single-K fit; extra_inits are extra LM EM starts."""
     if config.family is Family.LM:
-        return fit_lm_em(sample, k, config, starts=opts.starts, tol=opts.tol,
-                         max_iter=opts.max_iter, extra_inits=extra_inits,
-                         track_paths=opts.track_paths)
+        return fit_lm_em(sample, k, config, extra_inits=extra_inits)
     if config.family is Family.VR:
-        return fit_vr(sample, k, config, tol=opts.vr_tol)
+        return fit_vr(sample, k, config)
     return fit_ac(sample, k, config)
 
 
@@ -253,62 +241,34 @@ def fit_k(sample: Sample, k: int, config: ModelConfig,
 # Profile curve
 # ---------------------------------------------------------------------------
 
-def profile(sample: Sample, config: ModelConfig, k_top: int,
-            options: FitOptions | None = None,
-            extra_inits_k: dict[int, list] | None = None) -> ProfileCurve:
-    """Fit K = 1..k_top with warm starts; enforce monotone loglik via embedding.
-
-    extra_inits_k maps K to extra LM starts ((weights, means) pairs), used by
-    callers that can supply a known-good parameter (e.g. the true theta).
-    """
+def profile(sample: Sample, config: ModelConfig, k_top: int) -> ProfileCurve:
+    """Fit K = 1..k_top with warm starts; enforce monotone loglik via embedding."""
     if k_top < 1:
         raise UsageError("k_top must be >= 1")
-    opts = options or FitOptions()
     entries: list[FitResult] = []
 
     if config.family is Family.VR:
         # one basis/Gram build at k_top, coordinate descent on leading blocks
-        x, y = sample.x, sample.y
-        basis = vr_basis_matrix(x, k_top)
-        gram_full = basis.T @ basis
-        b_full = basis.T @ y
-        lo, hi = config.m_lo, config.m_hi
-        theta_prev = np.zeros(0)
+        basis = vr_basis_matrix(sample.x, k_top)
+        gram = basis.T @ basis
+        b = basis.T @ sample.y
+        # each K starts from the (K-1)-th solution padded with a zero
+        theta = np.zeros(k_top)
         for k in range(1, k_top + 1):
-            gram = gram_full[:k, :k]
-            b = b_full[:k]
-            theta = np.zeros(k)
-            theta[:k - 1] = theta_prev
-            converged = False
-            sweeps = 0
-            for sweeps in range(1, 10001):
-                delta = 0.0
-                for j in range(k):
-                    gjj = gram[j, j]
-                    if gjj <= 0.0:
-                        new = 0.0
-                    else:
-                        resid_j = b[j] - (gram[j] @ theta - gjj * theta[j])
-                        new = min(max(resid_j / gjj, lo), hi)
-                    delta = max(delta, abs(new - theta[j]))
-                    theta[j] = new
-                if delta < opts.vr_tol:
-                    converged = True
-                    break
-            th = ThetaVR(tuple(theta))
-            res = FitResult(th, log_likelihood(config, th, sample), sweeps, converged, 1)
-            entries.append(res)
-            theta_prev = theta
+            head, sweeps, converged = _box_qp(gram[:k, :k], b[:k], theta[:k],
+                                              config.m_lo, config.m_hi, VR_TOL)
+            th = ThetaVR(tuple(head))
+            entries.append(FitResult(th, log_likelihood(config, th, sample), sweeps,
+                                     converged, 1))
     else:
         prev: FitResult | None = None
         for k in range(1, k_top + 1):
-            extra = list((extra_inits_k or {}).get(k, []))
+            extra = None
             if config.family is Family.LM and prev is not None:
                 emb = embed(config, prev.theta, k)
-                extra.append((emb.weights, emb.means))
-            res = fit_k(sample, k, config, opts, extra_inits=extra or None)
-            entries.append(res)
-            prev = res
+                extra = [(emb.weights, emb.means)]
+            prev = fit_k(sample, k, config, extra_inits=extra)
+            entries.append(prev)
 
     # nestedness: replace any dip with the embedded previous solution
     for i in range(1, len(entries)):

@@ -39,7 +39,8 @@ _SEED_MASK = (1 << 64) - 1
 __all__ = [
     "Family", "ModelConfig", "ThetaLM", "ThetaVR", "ThetaAC", "Theta", "Sample",
     "ParameterError", "UsageError", "rng_for", "derive_seed", "simulate",
-    "log_density", "point_log_densities", "log_likelihood", "eval_regression_fn",
+    "log_density", "mixture_log_components", "point_log_densities", "log_likelihood",
+    "eval_regression_fn",
     "vr_basis_matrix", "validate_theta", "theta_dim", "true_order", "embed",
     "random_theta", "Leaf", "Split",
     "config_to_kv", "config_from_kv", "theta_to_kv", "theta_from_kv",
@@ -89,7 +90,6 @@ class ModelConfig:
     sigma: float = 1.0
     m_lo: float = -2.0
     m_hi: float = 2.0
-    vr_basis: str = "cosine"
     ac_depth_max: int = 4
 
     def __post_init__(self):
@@ -100,8 +100,6 @@ class ModelConfig:
             raise ParameterError(f"need m_lo < m_hi, got [{self.m_lo}, {self.m_hi}]")
         if self.family is Family.VR and not self.m_lo <= 0.0 <= self.m_hi:
             raise ParameterError("VR coefficient interval must contain 0")
-        if self.vr_basis != "cosine":
-            raise ParameterError(f"unknown basis {self.vr_basis!r}")
         if self.ac_depth_max < 1:
             raise ParameterError("ac_depth_max must be >= 1")
 
@@ -118,6 +116,9 @@ class ThetaLM:
         object.__setattr__(self, "means", tuple(float(m) for m in self.means))
         if len(self.weights) != len(self.means) or len(self.weights) < 1:
             raise ParameterError("weights and means must have equal length >= 1")
+        if not all(math.isfinite(v) for v in self.weights + self.means):
+            raise ParameterError(f"weights and means must be finite, got {self.weights!r}, "
+                                 f"{self.means!r}")
         if any(w < 0.0 for w in self.weights):
             raise ParameterError("weights must be nonnegative")
         if abs(sum(self.weights) - 1.0) > 1e-12:
@@ -185,6 +186,9 @@ class Sample:
             raise ParameterError(f"{self.family.value} points must have shape (n, {expected})")
         if pts.shape[0] != self.n:
             raise ParameterError(f"n={self.n} does not match {pts.shape[0]} points")
+        if not np.isfinite(pts).all():
+            i = int(np.argwhere(~np.isfinite(pts))[0][0])
+            raise ParameterError(f"point {i} is not finite: {pts[i]}")
         if self.family is not Family.LM and pts.size:
             x = pts[:, :-1]
             if x.min(initial=0.0) < 0.0 or x.max(initial=0.0) > 1.0:
@@ -337,21 +341,28 @@ def eval_regression_fn(config: ModelConfig, theta: Theta, x):
     return guillotine.eval_tree(theta.tree, xs)
 
 
+def mixture_log_components(z: np.ndarray, weights, means, sigma: float) -> np.ndarray:
+    """log(w_k * N(z_i; mu_k, sigma^2)) for every point i and component k, shape (n, K).
+
+    logsumexp over axis 1 gives the mixture log-density; zero weights give
+    -inf columns.
+    """
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.asarray(weights, dtype=float))
+    q = ((z[:, None] - np.asarray(means, dtype=float)[None, :]) / sigma) ** 2
+    return (-0.5 * LOG_2PI - math.log(sigma)) - 0.5 * q + log_w[None, :]
+
+
 def point_log_densities(config: ModelConfig, theta: Theta, points: np.ndarray) -> np.ndarray:
     """log p_theta at every observation; points shaped like Sample.points."""
     validate_theta(config, theta)
     sigma = config.sigma
-    norm_const = -0.5 * LOG_2PI - math.log(sigma)
     pts = np.asarray(points, dtype=float)
     if config.family is Family.LM:
         z = np.atleast_1d(pts)
         if z.size == 0:
             return np.zeros(0)
-        means = np.asarray(theta.means)
-        with np.errstate(divide="ignore"):
-            log_w = np.log(np.asarray(theta.weights))
-        comp = norm_const - 0.5 * ((z[:, None] - means[None, :]) / sigma) ** 2
-        return logsumexp(comp + log_w[None, :], axis=1)
+        return logsumexp(mixture_log_components(z, theta.weights, theta.means, sigma), axis=1)
     pts = pts.reshape(-1, pts.shape[-1]) if pts.ndim > 1 else pts[None, :]
     if pts.size == 0:
         return np.zeros(0)
@@ -361,7 +372,7 @@ def point_log_densities(config: ModelConfig, theta: Theta, points: np.ndarray) -
     else:
         f = guillotine.eval_tree(theta.tree, x)
     # uniform design density contributes log 1 = 0
-    return norm_const - 0.5 * ((y - f) / sigma) ** 2
+    return (-0.5 * LOG_2PI - math.log(sigma)) - 0.5 * ((y - f) / sigma) ** 2
 
 
 def log_density(config: ModelConfig, theta: Theta, z) -> float:
@@ -424,21 +435,20 @@ def _kv_lines(text: str) -> dict[str, str]:
 
 def config_to_kv(config: ModelConfig) -> str:
     """Line-oriented form: family (LM|AC|VR), sigma, m_lo, m_hi (the compact
-    interval M), vr_basis, ac_depth_max.  Floats carry 17 significant digits
+    interval M), ac_depth_max.  Floats carry 17 significant digits
     so the round trip is exact."""
     return "\n".join([
         f"family = {config.family.value}",
         f"sigma = {fmt(config.sigma)}",
         f"m_lo = {fmt(config.m_lo)}",
         f"m_hi = {fmt(config.m_hi)}",
-        f"vr_basis = {config.vr_basis}",
         f"ac_depth_max = {config.ac_depth_max}",
     ]) + "\n"
 
 
 def config_from_kv(text: str) -> ModelConfig:
     kv = _kv_lines(text)
-    known = {"family", "sigma", "m_lo", "m_hi", "vr_basis", "ac_depth_max"}
+    known = {"family", "sigma", "m_lo", "m_hi", "ac_depth_max"}
     unknown = set(kv) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -449,7 +459,6 @@ def config_from_kv(text: str) -> ModelConfig:
         sigma=float(kv.get("sigma", "1.0")),
         m_lo=float(kv.get("m_lo", "-2.0")),
         m_hi=float(kv.get("m_hi", "2.0")),
-        vr_basis=kv.get("vr_basis", "cosine"),
         ac_depth_max=int(kv.get("ac_depth_max", "4")),
     )
 

@@ -89,3 +89,20 @@ def test_family_mismatch_between_spec_and_sample(spec_file, tmp_path, capsys):
     lm_sample.write_text("idx,z\n0,0.5\n1,-0.25\n")
     assert main(["fit", "--spec", spec_file, "--sample", str(lm_sample)]) == 2
     assert "does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--seed", "3"],
+    ["campaign", "--spec", None, "--mode", "invariants"],
+])
+def test_invariant_failure_exits_nonzero(argv, spec_file, monkeypatch, capsys):
+    from orderest import experiments
+    monkeypatch.setattr(experiments, "invariant_suite",
+                        lambda seed: [("kl_nonnegativity", True, "fine"),
+                                      ("peeling", False, "violation for VR dataset 0")])
+    argv = [spec_file if a is None else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "[PASS] kl_nonnegativity: fine" in captured.out
+    assert "[FAIL] peeling: violation for VR dataset 0" in captured.out
+    assert "invariant suite failed: peeling" in captured.err

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from orderest import (
     Family, FitResult, PenaltySchedule, ThetaVR, UsageError, crit, dim_weights,
     estimate_order_global, estimate_order_local, estimate_orders, linear_weights,
-    parse_schedule, penalty, validate_schedule,
+    parse_schedule, validate_schedule,
 )
 from orderest.criterion import loglog
 from orderest.fitting import ProfileCurve
@@ -26,12 +26,12 @@ def schedule_with(d, form="bic", **kw):
 class TestPenalty:
     def test_power_arithmetic(self):
         sched = schedule_with((1.0, 2.0, 3.0), form="power", delta=0.25)
-        assert penalty(sched, 16, 2) == pytest.approx(16.0 ** 0.75 * 2.0, rel=1e-15)
-        assert penalty(sched, 16, 2) == pytest.approx(16.0, rel=1e-12)
+        assert sched.penalty(16, 2) == pytest.approx(16.0 ** 0.75 * 2.0, rel=1e-15)
+        assert sched.penalty(16, 2) == pytest.approx(16.0, rel=1e-12)
 
     def test_bic_at_n_e(self):
         sched = schedule_with((1.0, 2.0))
-        assert penalty(sched, math.e, 1) == pytest.approx(1.0, rel=1e-15)
+        assert sched.penalty(math.e, 1) == pytest.approx(1.0, rel=1e-15)
 
     def test_loglog_truncation(self):
         assert loglog(2) == pytest.approx(1.0)  # truncated at e^e
@@ -40,9 +40,9 @@ class TestPenalty:
     def test_k_out_of_range(self):
         sched = schedule_with((1.0, 2.0))
         with pytest.raises(UsageError):
-            penalty(sched, 10, 3)
+            sched.penalty(10, 3)
         with pytest.raises(UsageError):
-            penalty(sched, 0, 1)
+            sched.penalty(0, 1)
 
     def test_d_validation(self):
         with pytest.raises(UsageError):

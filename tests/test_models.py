@@ -45,6 +45,31 @@ class TestValidation:
         with pytest.raises(UsageError):
             validate_theta(LM, ThetaVR((0.5,)))
 
+    @pytest.mark.parametrize("weights, means", [
+        ((math.nan, 1.0), (0.0, 1.0)),
+        ((0.5, 0.5), (0.0, math.nan)),
+        ((1.0,), (math.inf,)),
+        ((0.5, 0.5), (-math.inf, 0.0)),
+    ])
+    def test_theta_lm_rejects_non_finite(self, weights, means):
+        with pytest.raises(ParameterError, match="finite"):
+            ThetaLM(weights, means)
+
+    @pytest.mark.parametrize("family, points, bad", [
+        (Family.LM, [0.0, math.nan, math.inf], 1),
+        (Family.VR, [[0.5, 1.0], [0.25, -math.inf]], 1),
+        (Family.AC, [[0.5, 0.5, math.nan]], 0),
+    ])
+    def test_sample_rejects_non_finite(self, family, points, bad):
+        with pytest.raises(ParameterError, match=f"point {bad} is not finite"):
+            Sample(family, points, 0, len(points))
+
+    def test_sample_csv_rejects_non_finite(self):
+        with pytest.raises(ParameterError, match="point 1 is not finite"):
+            sample_from_csv("idx,z\n0,0.5\n1,nan\n")
+        with pytest.raises(ParameterError, match="point 0 is not finite"):
+            sample_from_csv("idx,x1,y\n0,0.5,inf\n")
+
     def test_tree_depth_cap(self):
         from orderest.models import validate_theta
         deep = ThetaAC(Split(1, 0.5, Split(2, 0.5, Leaf(0.0), Leaf(0.1)), Leaf(1.0)))
@@ -262,6 +287,12 @@ class TestSerialization:
             config_from_kv("family = LM\nsheduel = bic\n")
         with pytest.raises(ValueError, match="duplicate"):
             config_from_kv("family = LM\nfamily = VR\n")
+
+    def test_basis_is_not_a_config_key(self):
+        # the cosine basis is the only VR basis; text that names it is rejected
+        assert "basis" not in config_to_kv(VR)
+        with pytest.raises(ValueError, match="vr_basis"):
+            config_from_kv("family = VR\nvr_basis = cosine\n")
 
     def test_sample_csv_round_trip(self):
         for config, theta in ((LM, ThetaLM((1.0,), (0.0,))), (VR, ThetaVR((0.5,))),
