@@ -31,6 +31,7 @@ TIE_TOL = 1e-12
 
 V_FORMS = ("power", "logpower", "bic", "iterlog")
 REGIMES = ("thm3", "thm4", "thm10", "thm11")
+_A_BOUND = 1.0  # the constant A of the thm10 bound v(nk) <= A k^(1-delta) v(n)
 
 _E_E = math.exp(math.e)
 
@@ -249,13 +250,12 @@ def _trend_to_zero(name: str, values: list[float], n_grid) -> ConditionCheck:
     return ConditionCheck(name, passed, values[0] - values[-1], detail)
 
 
-def validate_schedule(schedule: PenaltySchedule, regime: str, n_grid, k_grid,
-                      a_bound: float = 1.0) -> ScheduleReport:
+def validate_schedule(schedule: PenaltySchedule, regime: str, n_grid, k_grid) -> ScheduleReport:
     """Grid diagnostics for the named penalty-growth regime.
 
     Trend conditions pass when the quantity is nonincreasing along the grid
     and ends below its start; the v_{nk} bound is checked against
-    A k^(1-delta) with A=a_bound and the schedule's own delta (0.5 when the
+    A k^(1-delta) with A = _A_BOUND and the schedule's own delta (0.5 when the
     form has none).
     """
     if regime not in REGIMES:
@@ -300,10 +300,10 @@ def validate_schedule(schedule: PenaltySchedule, regime: str, n_grid, k_grid,
                 if k < 2:
                     continue
                 worst = max(worst, schedule.v(n * k) / (k ** (1.0 - delta) * schedule.v(n)))
-        passed = worst <= a_bound * (1.0 + 1e-9)
+        passed = worst <= _A_BOUND * (1.0 + 1e-9)
         checks.append(ConditionCheck(
-            "vnk_le_A_k_pow_over_vn", passed, a_bound - worst,
-            f"max v(nk)/(k^(1-{delta:g}) v(n)) = {worst:.9g}, A = {a_bound:g}"))
+            "vnk_le_A_k_pow_over_vn", passed, _A_BOUND - worst,
+            f"max v(nk)/(k^(1-{delta:g}) v(n)) = {worst:.9g}, A = {_A_BOUND:g}"))
     else:  # thm11
         vals = [math.log(n) / schedule.v(n) for n in n_grid]
         checks.append(_trend_to_zero("log_n_over_v_to_0", vals, n_grid))

@@ -30,6 +30,9 @@ from .models import (
 )
 
 _PROJECTION_STREAM = 301
+_PROJECTION_STARTS = 8  # L-BFGS starts of an LM projection
+_PROJECTION_SEED = 7  # seed of their jitter
+_QUAD_HALF_WIDTH = 12.0  # quadrature reaches this many sigmas past the outermost means
 
 
 @dataclass(frozen=True)
@@ -80,16 +83,9 @@ def _mixture_kl_panels(theta_a: ThetaLM, theta_b: ThetaLM, config: ModelConfig,
     return float(np.sum(w * np.exp(la) * (la - lb)))
 
 
-def _quad_interval(theta_a: ThetaLM, theta_b: ThetaLM, config: ModelConfig,
-                   half_width_sigmas: float) -> tuple[float, float]:
-    means = theta_a.means + theta_b.means
-    return (min(means) - half_width_sigmas * config.sigma,
-            max(means) + half_width_sigmas * config.sigma)
-
-
 def kl_mixture_quadrature(theta_a: ThetaLM, theta_b: ThetaLM, config: ModelConfig,
-                          half_width_sigmas: float = 12.0, panels: int = 400,
-                          target_tol: float = 1e-8, max_panels: int = 25600) -> EntropyValue:
+                          panels: int = 400, target_tol: float = 1e-8,
+                          max_panels: int = 25600) -> EntropyValue:
     """H(P_a | P_b) for location mixtures by composite Gauss-Legendre panels.
 
     Panels double until two successive estimates differ by less than
@@ -100,7 +96,9 @@ def kl_mixture_quadrature(theta_a: ThetaLM, theta_b: ThetaLM, config: ModelConfi
         raise UsageError("kl_mixture_quadrature is for the LM family")
     validate_theta(config, theta_a)
     validate_theta(config, theta_b)
-    lo, hi = _quad_interval(theta_a, theta_b, config, half_width_sigmas)
+    means = theta_a.means + theta_b.means
+    lo = min(means) - _QUAD_HALF_WIDTH * config.sigma
+    hi = max(means) + _QUAD_HALF_WIDTH * config.sigma
     value = _mixture_kl_panels(theta_a, theta_b, config, lo, hi, panels)
     achieved = math.inf
     while panels < max_panels:
@@ -124,8 +122,8 @@ def kl_divergence(theta_a: Theta, theta_b: Theta, config: ModelConfig) -> Entrop
 # Projections onto the K-th class, in both directions
 # ---------------------------------------------------------------------------
 
-def _project_lm(config: ModelConfig, target: ThetaLM, k: int, reverse: bool,
-                starts: int, seed: int) -> tuple[EntropyValue, ThetaLM]:
+def _project_lm(config: ModelConfig, target: ThetaLM, k: int,
+                reverse: bool) -> tuple[EntropyValue, ThetaLM]:
     """Multi-start local search for inf over Theta_K of the mixture divergence.
 
     reverse=False minimizes H(target | theta); reverse=True minimizes
@@ -155,11 +153,11 @@ def _project_lm(config: ModelConfig, target: ThetaLM, k: int, reverse: bool,
     spread = np.quantile(np.asarray(target.means), (np.arange(k) + 0.5) / k) if k > 1 \
         else np.asarray([float(np.dot(target.weights, target.means))])
     spread = np.clip(spread, config.m_lo, config.m_hi)
-    rng = rng_for(seed, _PROJECTION_STREAM, k)
+    rng = rng_for(_PROJECTION_SEED, _PROJECTION_STREAM, k)
     scale = max(config.sigma, (max(target.means) - min(target.means)) / max(k, 1))
     bounds = ([(-30.0, 30.0)] * (k - 1)) + [(config.m_lo, config.m_hi)] * k
     best_val, best_x = math.inf, None
-    for s in range(starts):
+    for s in range(_PROJECTION_STARTS):
         means0 = spread if s == 0 else np.clip(
             spread + 0.5 * scale * rng.standard_normal(k), config.m_lo, config.m_hi)
         x0 = np.concatenate([np.zeros(k - 1), means0])
@@ -185,8 +183,7 @@ def _project_regression(config: ModelConfig, target: Theta, k: int) -> tuple[Ent
             ThetaAC(tree))
 
 
-def _project(config: ModelConfig, target: Theta, k: int, return_argmin: bool,
-             starts: int, seed: int, reverse: bool):
+def _project(config: ModelConfig, target: Theta, k: int, return_argmin: bool, reverse: bool):
     if k < 1:
         raise UsageError("K must be >= 1")
     validate_theta(config, target)
@@ -194,24 +191,22 @@ def _project(config: ModelConfig, target: Theta, k: int, return_argmin: bool,
         out = EntropyValue(0.0, "closed_form", 0.0)
         argmin = embed(config, _reduced(config, target), k)
     elif config.family is Family.LM:
-        out, argmin = _project_lm(config, target, k, reverse, starts, seed)
+        out, argmin = _project_lm(config, target, k, reverse)
     else:
         out, argmin = _project_regression(config, target, k)
     return (out, argmin) if return_argmin else out
 
 
-def project_entropy(config: ModelConfig, target: Theta, k: int,
-                    return_argmin: bool = False, starts: int = 8, seed: int = 7):
+def project_entropy(config: ModelConfig, target: Theta, k: int, return_argmin: bool = False):
     """H(P_target | Pi_K): distance from the target to the K-th class.
 
     Closed form for VR (orthonormal tail sum) and AC (population tree DP);
     multi-start local search over Theta_K for LM.
     """
-    return _project(config, target, k, return_argmin, starts, seed, reverse=False)
+    return _project(config, target, k, return_argmin, reverse=False)
 
 
-def stein_bound(config: ModelConfig, target: Theta, k: int,
-                return_argmin: bool = False, starts: int = 8, seed: int = 7):
+def stein_bound(config: ModelConfig, target: Theta, k: int, return_argmin: bool = False):
     """H(Pi_K | P_target): the class-to-target infimum.
 
     This is the quantity bounding the achievable underestimation error
@@ -219,7 +214,7 @@ def stein_bound(config: ModelConfig, target: Theta, k: int,
     project_entropy by the L2 identity; for LM the optimization runs with the
     divergence arguments swapped.
     """
-    return _project(config, target, k, return_argmin, starts, seed, reverse=True)
+    return _project(config, target, k, return_argmin, reverse=True)
 
 
 def _reduced(config: ModelConfig, theta: Theta) -> Theta:

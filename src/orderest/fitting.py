@@ -21,6 +21,7 @@ in K.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,8 +29,8 @@ from scipy.special import logsumexp
 
 from . import guillotine
 from .models import (
-    Family, ModelConfig, Sample, Theta, ThetaAC, ThetaLM, ThetaVR, UsageError,
-    embed, fmt, log_likelihood, mixture_log_components, rng_for, vr_basis_matrix,
+    Family, ModelConfig, ParameterError, Sample, Theta, ThetaAC, ThetaLM, ThetaVR,
+    UsageError, embed, fmt, log_likelihood, mixture_log_components, rng_for, vr_basis_matrix,
 )
 
 K_HARD_CAP = 64  # mixture sizes past this are a usage error, not a model
@@ -100,10 +101,15 @@ def _em_run(z: np.ndarray, config: ModelConfig, w0: np.ndarray,
     prev = -np.inf
     converged = False
     iters = 0
+
     def eval_ll(w, m):
         comp = mixture_log_components(z, w, m, config.sigma)
         per_obs = logsumexp(comp, axis=1)
-        return comp, per_obs, float(per_obs.sum())
+        ll = float(per_obs.sum())
+        if not math.isfinite(ll):
+            raise ParameterError(f"EM at K={w.size}: log-likelihood is {ll}; the data are "
+                                 f"too extreme for sigma={config.sigma:g}")
+        return comp, per_obs, ll
 
     for iters in range(1, EM_MAX_ITER + 1):
         comp, per_obs, ll = eval_ll(w, m)

@@ -1,20 +1,21 @@
 """Guillotine partitions of the unit square and exact tree fitting.
 
 A guillotine tree recursively splits an axis-aligned rectangle with cuts
-parallel to the axes; leaves carry a constant mark.  Two dynamic programs
-share the same skeleton:
+parallel to the axes; leaves carry a constant mark.  Both tree fits find the
+best <=K-leaf tree under squared error, each cell's constant being the mean
+of its mass clipped to [m_lo, m_hi], with one dynamic program over a 2-D grid
+of atoms (weight, sum, sum of squares).  For fit_tree_empirical the grid
+lines are the distinct x1 and x2 values and the atoms are the data points
+(1, y, y^2): Gaussian ML with known sigma.  For fit_tree_population they are
+the target's elementary intervals and the rectangles between them (area,
+area*mark, area*mark^2): the L2(area) projection of the target.
 
-- the empirical DP fits a <=K-leaf tree to (x, y) data by maximizing the
-  Gaussian log-likelihood with known sigma, candidate cuts restricted to
-  midpoints between sorted in-cell coordinates (the objective is piecewise
-  constant in the cut between consecutive data coordinates, so midpoints
-  lose nothing);
-- the population DP approximates a piecewise-constant target function by a
-  <=K-leaf tree in L2(area), candidate cuts taken from the target's own cut
-  coordinates.
-
-Both clip the optimal cell constant (mean of y, resp. cell average of the
-target) to the mark interval [m_lo, m_hi].
+A cell is a box of line-index intervals shrunk to its nonempty lines, which
+is also its memo key; its totals come in O(1) from 2-D prefix sums.  A cut
+between consecutive nonempty lines a < b sits at 0.5*(hi[a] + lo[b]): the
+midpoint of consecutive distinct in-cell coordinates (the objective is flat
+between them), or the target's own cut.  Cuts whose children are both leaves
+are priced all at once as vectors.  Memory is O(distinct x1 * distinct x2).
 """
 
 from __future__ import annotations
@@ -64,22 +65,24 @@ def leaf_count(node: Node) -> int:
     return leaf_count(node.low) + leaf_count(node.high)
 
 
+def _halves(box, axis: int, cut: float):
+    """The low and high box of `box` split at `cut` across `axis`."""
+    lo, hi = box[2 * axis - 2:2 * axis]
+    if not lo < cut < hi:
+        raise ValueError(f"cut {cut} outside cell extent [{lo}, {hi}] on axis {axis}")
+    low, high = list(box), list(box)
+    low[2 * axis - 1] = high[2 * axis - 2] = cut
+    return tuple(low), tuple(high)
+
+
 def iter_cells(node: Node, box=UNIT_BOX):
     """Yield (lo1, hi1, lo2, hi2, mark) for every leaf cell of the tree."""
     if isinstance(node, Leaf):
         yield (*box, node.mark)
         return
-    lo1, hi1, lo2, hi2 = box
-    if node.axis == 1:
-        if not lo1 < node.cut < hi1:
-            raise ValueError(f"cut {node.cut} outside cell extent [{lo1}, {hi1}] on axis 1")
-        yield from iter_cells(node.low, (lo1, node.cut, lo2, hi2))
-        yield from iter_cells(node.high, (node.cut, hi1, lo2, hi2))
-    else:
-        if not lo2 < node.cut < hi2:
-            raise ValueError(f"cut {node.cut} outside cell extent [{lo2}, {hi2}] on axis 2")
-        yield from iter_cells(node.low, (lo1, hi1, lo2, node.cut))
-        yield from iter_cells(node.high, (lo1, hi1, node.cut, hi2))
+    low, high = _halves(box, node.axis, node.cut)
+    yield from iter_cells(node.low, low)
+    yield from iter_cells(node.high, high)
 
 
 def validate_tree(node: Node, box=UNIT_BOX) -> None:
@@ -126,23 +129,17 @@ def split_first_shallow_leaf(node: Node, depth_cap: int, box=UNIT_BOX) -> Node:
 
 
 def _split_first(node, depth_left, box):
-    lo1, hi1, lo2, hi2 = box
     if isinstance(node, Leaf):
         if depth_left <= 0:
             return None
-        if hi1 - lo1 >= hi2 - lo2:
-            return Split(1, 0.5 * (lo1 + hi1), Leaf(node.mark), Leaf(node.mark))
-        return Split(2, 0.5 * (lo2 + hi2), Leaf(node.mark), Leaf(node.mark))
-    if node.axis == 1:
-        low = _split_first(node.low, depth_left - 1, (lo1, node.cut, lo2, hi2))
-        if low is not None:
-            return Split(node.axis, node.cut, low, node.high)
-        high = _split_first(node.high, depth_left - 1, (node.cut, hi1, lo2, hi2))
-    else:
-        low = _split_first(node.low, depth_left - 1, (lo1, hi1, lo2, node.cut))
-        if low is not None:
-            return Split(node.axis, node.cut, low, node.high)
-        high = _split_first(node.high, depth_left - 1, (lo1, hi1, node.cut, hi2))
+        axis = 1 if box[1] - box[0] >= box[3] - box[2] else 2
+        lo, hi = box[2 * axis - 2:2 * axis]
+        return Split(axis, 0.5 * (lo + hi), Leaf(node.mark), Leaf(node.mark))
+    low_box, high_box = _halves(box, node.axis, node.cut)
+    low = _split_first(node.low, depth_left - 1, low_box)
+    if low is not None:
+        return Split(node.axis, node.cut, low, node.high)
+    high = _split_first(node.high, depth_left - 1, high_box)
     if high is None:
         return None
     return Split(node.axis, node.cut, node.low, high)
@@ -170,190 +167,142 @@ def random_tree(rng: np.random.Generator, k_leaves: int, depth_cap: int,
     def grow(box, depth, leaves):
         if leaves == 1 or depth == 0:
             return Leaf(float(rng.uniform(m_lo, m_hi)))
-        lo1, hi1, lo2, hi2 = box
         axis = int(rng.integers(1, 3))
-        if axis == 1:
-            cut = float(rng.uniform(lo1 + 0.05 * (hi1 - lo1), hi1 - 0.05 * (hi1 - lo1)))
-            boxes = ((lo1, cut, lo2, hi2), (cut, hi1, lo2, hi2))
-        else:
-            cut = float(rng.uniform(lo2 + 0.05 * (hi2 - lo2), hi2 - 0.05 * (hi2 - lo2)))
-            boxes = ((lo1, hi1, lo2, cut), (lo1, hi1, cut, hi2))
+        lo, hi = box[2 * axis - 2:2 * axis]
+        cut = float(rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)))
+        low_box, high_box = _halves(box, axis, cut)
         # children must be able to host their leaf budgets within depth - 1
         cap = 2 ** (depth - 1)
         k_lo = int(rng.integers(max(1, leaves - cap), min(cap, leaves - 1) + 1))
-        low = grow(boxes[0], depth - 1, k_lo)
-        high = grow(boxes[1], depth - 1, leaves - k_lo)
-        return Split(axis, cut, low, high)
+        return Split(axis, cut, grow(low_box, depth - 1, k_lo),
+                     grow(high_box, depth - 1, leaves - k_lo))
 
     return grow(UNIT_BOX, depth_cap, k_leaves)
 
 
 # ---------------------------------------------------------------------------
-# Empirical DP
+# Tree fitting: one DP over a weighted grid
 # ---------------------------------------------------------------------------
+
+def _grid_dp(edges, atoms: np.ndarray, k_leaves: int, depth_cap: int, m_lo: float,
+             m_hi: float, tol: float) -> tuple[Node, float]:
+    """Best <=k_leaves tree of depth <=depth_cap; returns (tree, clipped SSE).
+
+    edges = ((lo1, hi1), (lo2, hi2)) are the extents of the grid lines per
+    axis; atoms[:, i, j] = (weight, sum, sum of squares) of grid point (i, j),
+    and every line carries positive weight.  A candidate replaces the
+    incumbent only when its SSE is lower by more than tol.
+    """
+    pre = np.pad(atoms.cumsum(axis=1).cumsum(axis=2), ((0, 0), (1, 0), (1, 0)))
+    views = (pre, pre.transpose(0, 2, 1))  # lines of the cut axis first
+    memo: dict[tuple, tuple[float, Node]] = {}
+
+    def leaf(tot):
+        w, s, q = tot
+        m = np.minimum(np.maximum(s / w, m_lo), m_hi)
+        return np.maximum(q - 2.0 * m * s + m * m * w, 0.0), m
+
+    def scan(box, axis):
+        """Every cut across `axis`: its position, and the clipped SSE and mark
+        of its low child, of its high child and (last) of the whole box."""
+        p = views[axis - 1]
+        a0, a1, b0, b1 = box if axis == 1 else box[2:] + box[:2]
+        cum = p[:, a0:a1 + 1, b1] - p[:, a0:a1 + 1, b0]
+        cum = cum[:, 1:] - cum[:, :1]  # totals of lines a0..a
+        # the nonempty lines; the first line of a shrunk box always is one
+        lines = a0 + np.flatnonzero(np.concatenate(([True], cum[0, 1:] > cum[0, :-1])))
+        low = cum[:, lines[:-1] - a0]
+        sse, mark = leaf(np.concatenate([low, cum[:, -1:] - low, cum[:, -1:]], axis=1))
+        lo, hi = edges[axis - 1]
+        return 0.5 * (hi[lines[:-1]] + lo[lines[1:]]), sse, mark, lines
+
+    def kids(box, axis, lines):
+        """Shrunk boxes of the low and high child of every cut across `axis`."""
+        p = views[axis - 1][0]
+        a0, a1, b0, b1 = box if axis == 1 else box[2:] + box[:2]
+        out = []
+        for t0, t1 in ((a0, lines[:-1] + 1), (lines[1:], a1)):
+            wt = ((p[t1, b0 + 1:b1 + 1] - p[t1, b0:b0 + 1])
+                  - (p[t0, b0 + 1:b1 + 1] - p[t0, b0:b0 + 1]))  # weight of lines b0..b
+            first = b0 + (wt <= 0.0).sum(axis=1)
+            last = b0 + 1 + (wt < wt[:, -1:]).sum(axis=1)
+            cols = np.broadcast_arrays(t0, t1, first, last)
+            cols = cols if axis == 1 else cols[2:] + cols[:2]
+            out.append(list(zip(*(c.tolist() for c in cols))))
+        return out
+
+    def best(box, k, depth):
+        # depth d holds at most 2**d leaves, and k leaves need depth k - 1 at most
+        k = min(k, 2 ** depth)
+        depth = min(depth, k - 1)
+        key = (box, k, depth)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        scans = [scan(box, axis) for axis in (1, 2)]
+        val, node = float(scans[0][1][-1]), Leaf(float(scans[0][2][-1]))
+        scans = [(axis, *sc) for axis, sc in zip((1, 2), scans) if k > 1 and sc[0].size]
+        for axis, cuts, sse, mark, _ in scans:
+            m = cuts.size  # both children leaves: every cut position at once
+            costs = sse[:m] + sse[m:2 * m]
+            j = int(np.argmin(costs))
+            if costs[j] < val - tol:
+                val = float(costs[j])
+                node = Split(axis, float(cuts[j]), Leaf(float(mark[j])), Leaf(float(mark[m + j])))
+        for axis, cuts, sse, mark, lines in scans if k > 2 else ():
+            lows, highs = kids(box, axis, lines)
+            m, sse, mark = cuts.size, sse.tolist(), mark.tolist()
+            for j, cut in enumerate(cuts.tolist()):
+                for k_lo in range(1, k):
+                    v_lo, t_lo = (sse[j], None) if k_lo == 1 else best(lows[j], k_lo, depth - 1)
+                    v_hi, t_hi = ((sse[m + j], None) if k_lo == k - 1
+                                  else best(highs[j], k - k_lo, depth - 1))
+                    if v_lo + v_hi < val - tol:
+                        val = v_lo + v_hi
+                        node = Split(axis, cut, t_lo or Leaf(mark[j]), t_hi or Leaf(mark[m + j]))
+        memo[key] = (val, node)
+        return val, node
+
+    val, node = best((0, atoms.shape[1], 0, atoms.shape[2]), k_leaves, depth_cap)
+    return node, val
+
 
 def fit_tree_empirical(x: np.ndarray, y: np.ndarray, k_leaves: int, depth_cap: int,
                        sigma: float, m_lo: float, m_hi: float) -> tuple[Node, float]:
     """Best <=k_leaves guillotine tree for data (x, y); returns (tree, loglik).
 
-    Exact over the candidate-cut class: cuts at midpoints between consecutive
-    distinct in-cell coordinates per axis, memoized on the in-cell point set.
-    Empty cells keep mark 0 and contribute no likelihood terms.
+    Ties within 1e-12 of log-likelihood go to the first candidate.  Without
+    data the tree is one leaf at the mark nearest 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
-    const = -0.5 * LOG_2PI - math.log(sigma)
-    inv2s2 = 0.5 / sigma ** 2
-    memo: dict[tuple, tuple[float, Node]] = {}
-
-    empty_mark = min(max(0.0, m_lo), m_hi)  # convention mark, kept inside the box
-
-    def leaf_for(idx):
-        if idx.size == 0:
-            return 0.0, Leaf(empty_mark)
-        s, ss = y[idx].sum(), float(y[idx] @ y[idx])
-        m = min(max(s / idx.size, m_lo), m_hi)
-        rss = ss - 2.0 * m * s + m * m * idx.size
-        return idx.size * const - rss * inv2s2, Leaf(m)
-
-    def best_two(idx):
-        """Best of {single leaf, one cut with two leaf children}, vectorized
-        over all candidate boundaries via prefix sums."""
-        val, node = leaf_for(idx)
-        for axis in (1, 2):
-            coords = x[idx, axis - 1]
-            order = np.argsort(coords, kind="stable")
-            cs = coords[order]
-            ys = y[idx][order]
-            m_pts = cs.size
-            if m_pts < 2:
-                continue
-            boundary = np.nonzero(cs[:-1] < cs[1:])[0]
-            if boundary.size == 0:
-                continue
-            cy = np.cumsum(ys)
-            cy2 = np.cumsum(ys * ys)
-            nl = (boundary + 1).astype(float)
-            nr = m_pts - nl
-            syl, sy2l = cy[boundary], cy2[boundary]
-            syr, sy2r = cy[-1] - syl, cy2[-1] - sy2l
-            ml = np.clip(syl / nl, m_lo, m_hi)
-            mr = np.clip(syr / nr, m_lo, m_hi)
-            rss = (sy2l - 2.0 * ml * syl + ml * ml * nl
-                   + sy2r - 2.0 * mr * syr + mr * mr * nr)
-            vals = m_pts * const - rss * inv2s2
-            j = int(np.argmax(vals))
-            if vals[j] > val + 1e-12:
-                val = float(vals[j])
-                cut = 0.5 * (cs[boundary[j]] + cs[boundary[j] + 1])
-                node = Split(axis, float(cut), Leaf(float(ml[j])), Leaf(float(mr[j])))
-        return val, node
-
-    def best(idx, k, depth):
-        key = (idx.tobytes(), k, depth)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if k <= 1 or depth == 0 or idx.size <= 1:
-            out = leaf_for(idx)
-        elif k == 2:
-            out = best_two(idx)
-        else:
-            val, node = best_two(idx)  # covers every <=2-leaf candidate
-            for axis in (1, 2):
-                coords = np.unique(x[idx, axis - 1])
-                if coords.size < 2:
-                    continue
-                for cut in 0.5 * (coords[:-1] + coords[1:]):
-                    low = idx[x[idx, axis - 1] < cut]
-                    high = idx[x[idx, axis - 1] >= cut]
-                    for k_lo in range(1, k):
-                        if k_lo == 1 and k - k_lo == 1:
-                            continue  # handled by best_two
-                        v_lo, t_lo = best(low, k_lo, depth - 1)
-                        v_hi, t_hi = best(high, k - k_lo, depth - 1)
-                        if v_lo + v_hi > val + 1e-12:
-                            val = v_lo + v_hi
-                            node = Split(axis, float(cut), t_lo, t_hi)
-            out = (val, node)
-        memo[key] = out
-        return out
-
     if n == 0:
-        return Leaf(empty_mark), 0.0
-    val, node = best(np.arange(n), k_leaves, depth_cap)
-    return node, val
+        return Leaf(min(max(0.0, m_lo), m_hi)), 0.0
+    u1, row = np.unique(x[:, 0], return_inverse=True)
+    u2, col = np.unique(x[:, 1], return_inverse=True)
+    atoms = np.stack([np.bincount(row * u2.size + col, v, u1.size * u2.size)
+                      for v in (np.ones(n), y, y * y)]).reshape(3, u1.size, u2.size)
+    tree, sse = _grid_dp(((u1, u1), (u2, u2)), atoms, k_leaves, depth_cap, m_lo, m_hi,
+                         tol=1e-12 * 2.0 * sigma ** 2)  # 1e-12 of log-likelihood
+    return tree, n * (-0.5 * LOG_2PI - math.log(sigma)) - sse / (2.0 * sigma ** 2)
 
-
-# ---------------------------------------------------------------------------
-# Population DP
-# ---------------------------------------------------------------------------
 
 def fit_tree_population(target: Node, k_leaves: int, depth_cap: int,
                         m_lo: float, m_hi: float) -> tuple[Node, float]:
     """Best <=k_leaves tree approximating a target tree in L2(area).
 
-    Returns (tree, integral of (f_target - f_tree)^2).  Candidate cuts are the
-    target's own cut coordinates; cell averages are exact (areas are products
-    of interval overlaps) and clipped to [m_lo, m_hi].
+    Returns (tree, integral of (f_target - f_tree)^2); candidate cuts are the
+    target's own cuts.  Ties within 1e-15 of SSE go to the first candidate.
     """
-    cells = list(iter_cells(target))
-    cuts1 = sorted({c[1] for c in cells if c[1] < 1.0} | {c[0] for c in cells if c[0] > 0.0})
-    cuts2 = sorted({c[3] for c in cells if c[3] < 1.0} | {c[2] for c in cells if c[2] > 0.0})
-    memo: dict[tuple, tuple[float, Node]] = {}
-
-    def stats(box):
-        lo1, hi1, lo2, hi2 = box
-        area = intf = intf2 = 0.0
-        for a1, b1, a2, b2, m in cells:
-            w = min(b1, hi1) - max(a1, lo1)
-            h = min(b2, hi2) - max(a2, lo2)
-            if w > 0.0 and h > 0.0:
-                a = w * h
-                area += a
-                intf += a * m
-                intf2 += a * m * m
-        return area, intf, intf2
-
-    empty_mark = min(max(0.0, m_lo), m_hi)
-
-    def leaf_for(box):
-        area, intf, intf2 = stats(box)
-        if area <= 0.0:
-            return 0.0, Leaf(empty_mark)
-        m = min(max(intf / area, m_lo), m_hi)
-        sse = intf2 - 2.0 * m * intf + m * m * area
-        return max(sse, 0.0), Leaf(m)
-
-    def best(box, k, depth):
-        key = (box, k, depth)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        val, node = leaf_for(box)
-        lo1, hi1, lo2, hi2 = box
-        if k > 1 and depth > 0:
-            for axis, cuts in ((1, cuts1), (2, cuts2)):
-                lo, hi = (lo1, hi1) if axis == 1 else (lo2, hi2)
-                for cut in cuts:
-                    if not lo < cut < hi:
-                        continue
-                    if axis == 1:
-                        boxes = ((lo1, cut, lo2, hi2), (cut, hi1, lo2, hi2))
-                    else:
-                        boxes = ((lo1, hi1, lo2, cut), (lo1, hi1, cut, hi2))
-                    for k_lo in range(1, k):
-                        v_lo, t_lo = best(boxes[0], k_lo, depth - 1)
-                        v_hi, t_hi = best(boxes[1], k - k_lo, depth - 1)
-                        if v_lo + v_hi < val - 1e-15:
-                            val = v_lo + v_hi
-                            node = Split(axis, cut, t_lo, t_hi)
-        memo[key] = (val, node)
-        return val, node
-
-    sse, node = best(UNIT_BOX, k_leaves, depth_cap)
-    return node, sse
+    cells = np.array(list(iter_cells(target)))
+    e1, e2 = np.unique(cells[:, :2]), np.unique(cells[:, 2:4])
+    mid1, mid2 = np.meshgrid(0.5 * (e1[:-1] + e1[1:]), 0.5 * (e2[:-1] + e2[1:]), indexing="ij")
+    f = eval_tree(target, np.column_stack([mid1.ravel(), mid2.ravel()])).reshape(mid1.shape)
+    area = np.outer(np.diff(e1), np.diff(e2))
+    atoms = np.stack([area, area * f, area * f * f])
+    return _grid_dp(((e1[:-1], e1[1:]), (e2[:-1], e2[1:])), atoms, k_leaves, depth_cap,
+                    m_lo, m_hi, tol=1e-15)
 
 
 def minimal_leaf_count(target: Node, depth_cap: int, m_lo: float, m_hi: float,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orderest import (
-    Family, Leaf, ModelConfig, Sample, Split, ThetaAC, ThetaLM, ThetaVR,
+    Family, Leaf, ModelConfig, ParameterError, Sample, Split, ThetaAC, ThetaLM, ThetaVR,
     UsageError, fit_ac, fit_lm_em, fit_vr, log_likelihood, profile, simulate,
 )
 from orderest.models import derive_seed, rng_for, vr_basis_matrix
@@ -80,6 +80,14 @@ class TestEmLm:
         s = simulate(LM, ThetaLM((1.0,), (0.0,)), 20, seed=0)
         with pytest.raises(UsageError):
             fit_lm_em(s, 100, LM)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("z, k", [([1e308, -1e308, 0.0, 1.0], 1), ([1e200, 0.0, 1.0], 2)])
+    def test_extreme_data_fails_in_em(self, z, k):
+        # finite data whose log-likelihood overflows: EM reports it, not ThetaLM
+        s = Sample(Family.LM, np.asarray(z), seed=0, n=len(z))
+        with pytest.raises(ParameterError, match=f"^EM at K={k}: log-likelihood is -inf"):
+            fit_lm_em(s, k, LM)
 
 
 class TestFitVr:
@@ -187,12 +195,16 @@ class TestFitAc:
         with pytest.raises(UsageError):
             fit_ac(s, 3, shallow)
 
-    def test_dp_equals_exhaustive_enumeration(self):
-        # every candidate tree, n <= 30, depth <= 2
+    @pytest.mark.parametrize("depth, n_max, ks, datasets", [
+        pytest.param(2, 30, (1, 2, 3, 4), 8, id="depth2"),
+        pytest.param(3, 12, (3, 5), 3, id="depth3"),
+    ])
+    def test_dp_equals_exhaustive_enumeration(self, depth, n_max, ks, datasets):
+        # every candidate tree, n <= n_max
         const = -0.5 * math.log(2 * math.pi)
         rng = rng_for(77)
-        for trial in range(8):
-            n = int(rng.integers(6, 31))
+        for trial in range(datasets):
+            n = int(rng.integers(6, n_max + 1))
             x = rng.uniform(0, 1, (n, 2))
             y = rng.normal(0, 1, n)
 
@@ -218,10 +230,57 @@ class TestFitAc:
                                            + enum_best(high, k - k_lo, depth - 1))
                 return best
 
-            for k in (1, 2, 3, 4):
-                _, ll = guillotine.fit_tree_empirical(x, y, k, 2, 1.0, -2.0, 2.0)
-                assert ll == pytest.approx(enum_best(np.arange(n), k, 2), abs=1e-9), \
+            for k in ks:
+                _, ll = guillotine.fit_tree_empirical(x, y, k, depth, 1.0, -2.0, 2.0)
+                assert ll == pytest.approx(enum_best(np.arange(n), k, depth), abs=1e-9), \
                     (trial, k)
+
+    def test_population_dp_equals_exhaustive_enumeration(self):
+        # every tree over the target's cut grid, random targets of depth <= 2
+        rng = rng_for(78)
+        for trial in range(12):
+            depth = int(rng.integers(1, 3))
+            target = guillotine.random_tree(rng, int(rng.integers(1, 2 ** depth + 1)), depth,
+                                            -3.0, 3.0)
+            m_lo, m_hi = (-2.0, 2.0) if trial % 2 else (-0.5, 1.0)
+            cells = list(guillotine.iter_cells(target))
+            grid = {axis: sorted({c for cell in cells for c in cell[2 * axis - 2:2 * axis]})
+                    for axis in (1, 2)}
+
+            def leaf_sse(box):
+                area = intf = intf2 = 0.0
+                for a1, b1, a2, b2, mark in cells:
+                    w = min(b1, box[1]) - max(a1, box[0])
+                    h = min(b2, box[3]) - max(a2, box[2])
+                    if w > 0.0 and h > 0.0:
+                        area += w * h
+                        intf += w * h * mark
+                        intf2 += w * h * mark * mark
+                m = min(max(intf / area, m_lo), m_hi)
+                return intf2 - 2.0 * m * intf + m * m * area
+
+            def enum_best(box, k, depth):
+                best = leaf_sse(box)
+                if k > 1 and depth > 0:
+                    for axis in (1, 2):
+                        lo, hi = box[2 * axis - 2:2 * axis]
+                        for cut in (c for c in grid[axis] if lo < c < hi):
+                            low, high = list(box), list(box)
+                            low[2 * axis - 1] = high[2 * axis - 2] = cut
+                            for k_lo in range(1, k):
+                                best = min(best, enum_best(low, k_lo, depth - 1)
+                                           + enum_best(high, k - k_lo, depth - 1))
+                return best
+
+            for cap in (1, 2, 3):
+                for k in range(1, min(5, 2 ** cap) + 1):
+                    tree, sse = guillotine.fit_tree_population(target, k, cap, m_lo, m_hi)
+                    oracle = enum_best([0.0, 1.0, 0.0, 1.0], k, cap)
+                    assert sse == pytest.approx(oracle, abs=1e-12), (trial, cap, k)
+                    assert guillotine.leaf_count(tree) <= k
+                    assert guillotine.tree_depth(tree) <= cap
+                    assert guillotine.overlay_sq_integral(target, tree) == pytest.approx(
+                        sse, abs=1e-12), (trial, cap, k)
 
 
 class TestProfile:
