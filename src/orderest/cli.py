@@ -10,46 +10,42 @@ byte-identical across reruns; timestamps appear only in manifests.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .criterion import crit, estimate_orders
+from .deviations import ESTIMATORS
 from .experiments import (
-    ExperimentSpec, entropy_table, parse_spec, report_invariants, run, write_artifact,
+    MODES, RUN_KEYS, ExperimentSpec, entropy_table, parse_spec, report_invariants, run,
+    write_artifact,
 )
-from .fitting import fit_k, profile
-from .models import UsageError, fmt, sample_from_csv, sample_to_csv, simulate
+from .fitting import fit_k, fits_csv, profile
+from .models import (
+    Sample, UsageError, _kv_parse, csv_text, sample_from_csv, sample_to_csv, simulate,
+)
 
 
-def _load_spec(path: str) -> ExperimentSpec:
-    return parse_spec(Path(path).read_text())
-
-
-def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
-    from dataclasses import replace
-    updates = {}
-    if getattr(args, "mode", None):
-        updates["mode"] = args.mode
-    if getattr(args, "estimator", None):
-        updates["estimator"] = args.estimator
-    if getattr(args, "n_grid", None):
-        updates["n_grid"] = tuple(int(v) for v in args.n_grid.split())
-    if getattr(args, "trials", None) is not None:
-        updates["trials"] = args.trials
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "schedule", None):
+def _load_spec(args) -> ExperimentSpec:
+    """The --spec file with each [run] flag given in place of its key.  Flags
+    go through the spec's own parsers and checks, as if they were spec lines."""
+    spec = parse_spec(Path(args.spec).read_text())
+    updates = _kv_parse(RUN_KEYS, {key: getattr(args, key) for key in RUN_KEYS
+                                   if getattr(args, key, None) is not None}, "[run]")
+    if args.schedule is not None:
         updates["schedule_spec"] = args.schedule
-    if getattr(args, "output_dir", None):
-        updates["output_dir"] = args.output_dir
-    if getattr(args, "k_max", None) is not None:
-        updates["k_max"] = args.k_max
-    return replace(spec, **updates) if updates else spec
+    return replace(spec, **updates)
+
+
+def _load_sample(args, spec: ExperimentSpec) -> Sample:
+    sample = sample_from_csv(Path(args.sample).read_text(), seed=spec.seed)
+    if sample.family is not spec.config.family:
+        raise UsageError(f"sample family {sample.family.value} does not match spec")
+    return sample
 
 
 def cmd_simulate(args) -> int:
-    spec = _apply_overrides(_load_spec(args.spec), args)
+    spec = _load_spec(args)
     n = args.n if args.n is not None else spec.n_grid[0]
     sample = simulate(spec.config, spec.theta_star, n, spec.seed)
     out = Path(args.out or Path(spec.output_dir) / "sample.csv")
@@ -59,17 +55,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    spec = _apply_overrides(_load_spec(args.spec), args)
-    sample = sample_from_csv(Path(args.sample).read_text(), seed=spec.seed)
-    if sample.family is not spec.config.family:
-        raise UsageError(f"sample family {sample.family.value} does not match spec")
+    spec = _load_spec(args)
+    sample = _load_sample(args, spec)
     if args.k is not None:
-        res = fit_k(sample, args.k, spec.config)
-        content = ("K,loglik,converged,iterations\n"
-                   f"{args.k},{fmt(res.loglik)},{int(res.converged)},{res.iterations}\n")
+        content = fits_csv([(args.k, fit_k(sample, args.k, spec.config))])
     else:
-        prof = profile(sample, spec.config, args.k_top or spec.k_max + 1)
-        content = prof.to_csv()
+        content = profile(sample, spec.config, args.k_top or spec.k_max + 1).to_csv()
     out = Path(args.out or Path(spec.output_dir) / "fit.csv")
     write_artifact(out, content, spec.to_text(), "orderest fit")
     print(f"wrote {out}")
@@ -77,39 +68,34 @@ def cmd_fit(args) -> int:
 
 
 def cmd_order(args) -> int:
-    spec = _apply_overrides(_load_spec(args.spec), args)
-    sample = sample_from_csv(Path(args.sample).read_text(), seed=spec.seed)
-    if sample.family is not spec.config.family:
-        raise UsageError(f"sample family {sample.family.value} does not match spec")
+    spec = _load_spec(args)
+    sample = _load_sample(args, spec)
     schedule = spec.schedule()
     prof = profile(sample, spec.config, spec.k_max + 1)
     est = estimate_orders(prof, schedule, sample.n, spec.k_max)
     values = crit(prof, schedule, sample.n)
-    buf = io.StringIO()
-    buf.write("K,loglik,penalty,crit\n")
-    for k in sorted(values):
-        buf.write(f"{k},{fmt(prof.loglik(k))},{fmt(schedule.penalty(sample.n, k))},"
-                  f"{fmt(values[k])}\n")
+    content = csv_text("K,loglik,penalty,crit",
+                       ((k, prof.loglik(k), schedule.penalty(sample.n, k), values[k])
+                        for k in sorted(values)))
     out = Path(args.out or Path(spec.output_dir) / "order.csv")
-    write_artifact(out, buf.getvalue(), spec.to_text(), "orderest order")
+    write_artifact(out, content, spec.to_text(), "orderest order")
     print(f"k_local={est.k_local} k_global={est.k_global} "
           f"scan_cap_hit={int(est.scan_cap_hit)}")
     return 0
 
 
 def cmd_entropy(args) -> int:
-    spec = _apply_overrides(_load_spec(args.spec), args)
+    spec = _load_spec(args)
     print(entropy_table(spec, args.k_top or spec.k_max), end="")
     return 0
 
 
 def cmd_campaign(args) -> int:
-    spec = _apply_overrides(_load_spec(args.spec), args)
-    return run(spec, command="orderest campaign --spec " + args.spec)
+    return run(_load_spec(args), command="orderest campaign --spec " + args.spec)
 
 
 def cmd_invariants(args) -> int:
-    return report_invariants(args.seed or 0)
+    return report_invariants(args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,14 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="order estimation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_required=True):
-        p.add_argument("--spec", required=spec_required, help="experiment spec file")
-        p.add_argument("--seed", type=int, help="override the spec seed")
-        p.add_argument("--estimator", choices=("local", "global"))
+    def common(p):
+        p.add_argument("--spec", required=True, help="experiment spec file")
+        p.add_argument("--seed", help="override the spec seed")
+        p.add_argument("--estimator", choices=ESTIMATORS)
         p.add_argument("--schedule", help="override the schedule spec string")
         p.add_argument("--n-grid", dest="n_grid", help="override, e.g. '500 1000 2000'")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--k-max", dest="k_max", type=int)
+        p.add_argument("--trials")
+        p.add_argument("--k-max", dest="k_max")
         p.add_argument("--output-dir", dest="output_dir")
 
     p = sub.add_parser("simulate", help="draw a sample and write its CSV")
@@ -154,8 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("campaign", help="run the spec's mode end to end")
     common(p)
-    p.add_argument("--mode", choices=("consistency", "under_exponent", "over_rate",
-                                      "entropy_table", "invariants"))
+    p.add_argument("--mode", choices=MODES)
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("invariants", help="run the invariant suites")

@@ -21,8 +21,8 @@ A spec is a line-oriented text file with three sections::
     k_max = 4
     output_dir = out
 
-Unknown keys are errors (no silent defaults for misspellings); duplicates
-are errors.  Specs round-trip losslessly through to_text()/parse_spec().
+Unknown and duplicate keys are errors; a missing key takes the ModelConfig
+or ExperimentSpec default.  Specs round-trip losslessly through to_text()/parse_spec().
 
 run() writes a results CSV (and a fit CSV where a rate is fitted) plus a
 manifest JSON per output file.  CSVs are byte-identical across reruns of the
@@ -34,7 +34,6 @@ needed to re-run the experiment.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import sys
 from dataclasses import dataclass
@@ -46,25 +45,25 @@ import numpy as np
 from . import __version__
 from .criterion import PenaltySchedule, parse_schedule, validate_schedule
 from .deviations import (
-    ErrorProbEstimate, FitError, fit_exponent, fit_moderate_rate,
+    ESTIMATORS, FitError, fit_exponent, fit_moderate_rate,
     is_underestimation_prob, mc_error_probs, peeling_assert,
 )
 from .entropy import kl_divergence, project_entropy, stein_bound
 from .fitting import fit_lm_em, profile
 from .models import (
-    Family, ModelConfig, Theta, UsageError, config_from_kv, config_to_kv,
-    derive_seed, fmt, random_theta, rng_for, simulate, theta_from_kv, theta_to_kv,
-    true_order, validate_theta,
+    Family, ModelConfig, Theta, UsageError, _config_from_map, _kv_lines, _kv_parse, _kv_text,
+    _theta_from_map, config_to_kv, csv_text, derive_seed, random_theta, rng_for, simulate,
+    theta_to_kv, true_order, validate_theta,
 )
 
 MODES = ("consistency", "under_exponent", "over_rate", "entropy_table", "invariants")
 
-_MODEL_KEYS = {"family", "sigma", "m_lo", "m_hi", "ac_depth_max"}
-_RUN_KEYS = {"mode", "estimator", "n_grid", "trials", "seed", "k_max", "output_dir"}
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One experiment; building it checks theta against the config and builds
+    the schedule, so every spec that exists can run (and its text re-parses)."""
+
     config: ModelConfig
     theta_star: Theta
     schedule_spec: str
@@ -79,7 +78,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise UsageError(f"unknown mode {self.mode!r}")
-        if self.estimator not in ("local", "global"):
+        if self.estimator not in ESTIMATORS:
             raise UsageError(f"unknown estimator {self.estimator!r}")
         grid = tuple(int(n) for n in self.n_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -89,96 +88,59 @@ class ExperimentSpec:
             raise UsageError(f"mode={self.mode} needs trials >= 1")
         if self.k_max < 1:
             raise UsageError("k_max must be >= 1")
+        # fail here, not mid-campaign
+        validate_theta(self.config, self.theta_star)
+        self.schedule()
 
     def schedule(self) -> PenaltySchedule:
         # the local scan needs crit at K_scan_max + 1 = k_max + 1
         return parse_schedule(self.schedule_spec, self.config.family, self.k_max + 1)
 
     def to_text(self) -> str:
-        out = ["[model]", config_to_kv(self.config).rstrip()]
-        out += ["theta." + line for line in theta_to_kv(self.theta_star).rstrip().splitlines()]
-        out += ["", "[schedule]", f"spec = {self.schedule_spec}", "", "[run]"]
-        out += [f"mode = {self.mode}",
-                f"estimator = {self.estimator}",
-                f"n_grid = {' '.join(str(n) for n in self.n_grid)}",
-                f"trials = {self.trials}",
-                f"seed = {self.seed}",
-                f"k_max = {self.k_max}",
-                f"output_dir = {self.output_dir}"]
-        return "\n".join(out) + "\n"
+        theta = "".join("theta." + line
+                        for line in theta_to_kv(self.theta_star).splitlines(keepends=True))
+        return (f"[model]\n{config_to_kv(self.config)}{theta}\n"
+                f"[schedule]\nspec = {self.schedule_spec}\n\n[run]\n{_kv_text(RUN_KEYS, self)}")
+
+
+# The [run] keys of spec text, each with its parser, in the line order to_text
+# writes; a missing key takes ExperimentSpec's default.  CLI overrides go
+# through the same parsers.
+RUN_KEYS = {"mode": str, "estimator": str, "n_grid": lambda text: tuple(map(int, text.split())),
+            "trials": int, "seed": int, "k_max": int, "output_dir": str}
 
 
 def parse_spec(text: str) -> ExperimentSpec:
     """Parse the sectioned key = value format; unknown keys raise."""
-    sections: dict[str, dict[str, str]] = {}
-    current: dict[str, str] | None = None
+    sections: dict[str, list[str]] = {}
+    lines = None
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name in sections:
                 raise UsageError(f"duplicate section [{name}]")
             if name not in ("model", "schedule", "run"):
                 raise UsageError(f"unknown section [{name}]")
-            current = sections.setdefault(name, {})
-            continue
-        if current is None:
+            lines = sections[name] = []
+        elif lines is not None:
+            lines.append(raw)
+        elif line and not line.startswith("#"):
             raise UsageError(f"key outside any section: {raw!r}")
-        if "=" not in line:
-            raise UsageError(f"not a key = value line: {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key in current:
-            raise UsageError(f"duplicate key {key!r}")
-        current[key] = val
     for required in ("model", "schedule", "run"):
         if required not in sections:
             raise UsageError(f"missing section [{required}]")
+    model, sched, run_kv = (_kv_lines("\n".join(sections[name]))
+                            for name in ("model", "schedule", "run"))
 
-    model = dict(sections["model"])
-    theta_lines = []
-    for key in list(model):
-        if key == "theta.kind" or key.startswith("theta."):
-            theta_lines.append(f"{key[len('theta.'):]} = {model.pop(key)}")
-    unknown = set(model) - _MODEL_KEYS
-    if unknown:
-        raise UsageError(f"unknown [model] keys: {sorted(unknown)}")
-    config = config_from_kv("\n".join(f"{k} = {v}" for k, v in model.items()))
-    if not theta_lines:
+    theta = {key[len("theta."):]: model.pop(key) for key in list(model)
+             if key.startswith("theta.")}
+    if not theta:
         raise UsageError("missing theta.* keys in [model]")
-    theta = theta_from_kv("\n".join(theta_lines))
-
-    sched = dict(sections["schedule"])
     if set(sched) != {"spec"}:
         raise UsageError(f"[schedule] takes exactly the key 'spec'; got {sorted(sched)}")
-
-    run_kv = dict(sections["run"])
-    unknown = set(run_kv) - _RUN_KEYS
-    if unknown:
-        raise UsageError(f"unknown [run] keys: {sorted(unknown)}")
-    try:
-        spec = ExperimentSpec(
-            config=config,
-            theta_star=theta,
-            schedule_spec=sched["spec"],
-            estimator=run_kv.get("estimator", "global"),
-            n_grid=tuple(int(v) for v in run_kv.get("n_grid", "1000").split()),
-            trials=int(run_kv.get("trials", "100")),
-            seed=int(run_kv.get("seed", "0")),
-            output_dir=run_kv.get("output_dir", "out"),
-            mode=run_kv.get("mode", "consistency"),
-            k_max=int(run_kv.get("k_max", "4")),
-        )
-    except ValueError as exc:
-        if isinstance(exc, UsageError):
-            raise
-        raise UsageError(f"bad [run] value: {exc}") from exc
-    # fail at parse time, not mid-campaign: theta must be admissible for the
-    # config and the schedule string must build
-    validate_theta(config, theta)
-    spec.schedule()
-    return spec
+    return ExperimentSpec(_config_from_map(model), _theta_from_map(theta), sched["spec"],
+                          **_kv_parse(RUN_KEYS, run_kv, "[run]"))
 
 
 # ---------------------------------------------------------------------------
@@ -206,25 +168,6 @@ def write_artifact(path: Path, content: str, spec_text: str, command: str) -> No
 
 
 RESULTS_HEADER = "n,trials,p_under,p_over,p_correct,ci_lo,ci_hi,method,ess"
-
-
-def _results_csv(rows: list[ErrorProbEstimate], ci_of: str) -> str:
-    """ci columns carry the under CI in under_exponent mode, the over CI otherwise."""
-    buf = io.StringIO()
-    buf.write(RESULTS_HEADER + "\n")
-    for r in rows:
-        ci = r.ci_under if ci_of == "under" else r.ci_over
-        buf.write(f"{r.n},{r.trials},{fmt(r.p_under)},{fmt(r.p_over)},{fmt(r.p_correct)},"
-                  f"{fmt(ci[0])},{fmt(ci[1])},{r.method},{fmt(r.ess)}\n")
-    return buf.getvalue()
-
-
-def _fit_csv(fit) -> str:
-    buf = io.StringIO()
-    buf.write("x,neg_log_p\n")
-    for x, y in fit.points:
-        buf.write(f"{fmt(x)},{fmt(y)}\n")
-    return buf.getvalue()
 
 
 def _warn_schedule(spec: ExperimentSpec, regime: str) -> None:
@@ -331,14 +274,13 @@ def report_invariants(seed: int) -> int:
 
 def entropy_table(spec: ExperimentSpec, k_top: int) -> str:
     """CSV of both projection directions of theta* onto the classes K = 1..k_top."""
-    buf = io.StringIO()
-    buf.write("K,direction,value,method,tol\n")
+    rows = []
     for k in range(1, k_top + 1):
         p = project_entropy(spec.config, spec.theta_star, k)
         s = stein_bound(spec.config, spec.theta_star, k)
-        buf.write(f"{k},target_to_class,{fmt(p.value)},{p.method},{fmt(p.tol)}\n")
-        buf.write(f"{k},class_to_target,{fmt(s.value)},{s.method},{fmt(s.tol)}\n")
-    return buf.getvalue()
+        rows += [(k, "target_to_class", p.value, p.method, p.tol),
+                 (k, "class_to_target", s.value, s.method, s.tol)]
+    return csv_text("K,direction,value,method,tol", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -347,61 +289,54 @@ def entropy_table(spec: ExperimentSpec, k_top: int) -> str:
 
 def run(spec: ExperimentSpec, command: str = "orderest campaign") -> int:
     """Dispatch one experiment; returns the process exit status."""
+    if spec.mode == "invariants":
+        return report_invariants(spec.seed)
     spec_text = spec.to_text()
     schedule = spec.schedule()
-    out_dir = Path(spec.output_dir)
-    prefix = spec.mode
 
-    if spec.mode == "consistency":
-        _warn_schedule(spec, "thm3")
-        rows = [mc_error_probs(spec.config, spec.theta_star, schedule, spec.estimator,
-                               n, spec.trials, spec.seed, spec.k_max)
-                for n in spec.n_grid]
-        write_artifact(out_dir / f"{prefix}_results.csv", _results_csv(rows, "over"),
-                       spec_text, command)
+    def save(kind: str, content: str) -> None:
+        write_artifact(Path(spec.output_dir) / f"{spec.mode}_{kind}.csv", content, spec_text,
+                       command)
+
+    if spec.mode == "entropy_table":
+        table = entropy_table(spec, spec.k_max)
+        save("results", table)
+        print(table, end="")
         return 0
 
-    if spec.mode == "under_exponent":
+    under = spec.mode == "under_exponent"
+    if under:
         rows = [is_underestimation_prob(spec.config, spec.theta_star, None, schedule,
                                         spec.estimator, n, spec.trials, spec.seed,
                                         spec.k_max)
                 for n in spec.n_grid]
-        write_artifact(out_dir / f"{prefix}_results.csv", _results_csv(rows, "under"),
-                       spec_text, command)
-        try:
-            fit = fit_exponent([(r.n, r.p_under) for r in rows])
-            write_artifact(out_dir / f"{prefix}_fit.csv", _fit_csv(fit), spec_text, command)
-            print(f"under_exponent: slope={fit.slope:.6g} r2={fit.r2:.4f} "
-                  f"excluded={fit.n_excluded}")
-        except FitError as exc:
-            print(f"warning: exponent fit skipped: {exc}", file=sys.stderr)
-        return 0
-
-    if spec.mode == "over_rate":
-        _warn_schedule(spec, "thm10")
+    else:
+        _warn_schedule(spec, "thm3" if spec.mode == "consistency" else "thm10")
         rows = [mc_error_probs(spec.config, spec.theta_star, schedule, spec.estimator,
                                n, spec.trials, spec.seed, spec.k_max)
                 for n in spec.n_grid]
-        write_artifact(out_dir / f"{prefix}_results.csv", _results_csv(rows, "over"),
-                       spec_text, command)
-        try:
+    # the ci columns carry the under CI in under_exponent mode, the over CI otherwise
+    save("results", csv_text(RESULTS_HEADER, (
+        (r.n, r.trials, r.p_under, r.p_over, r.p_correct,
+         *(r.ci_under if under else r.ci_over), r.method, r.ess) for r in rows)))
+    if spec.mode == "consistency":
+        return 0
+    try:
+        if under:
+            fit = fit_exponent([(r.n, r.p_under) for r in rows])
+            msg = (f"under_exponent: slope={fit.slope:.6g} r2={fit.r2:.4f} "
+                   f"excluded={fit.n_excluded}")
+        else:
             fit = fit_moderate_rate([(r.n, r.p_over) for r in rows], schedule)
-            write_artifact(out_dir / f"{prefix}_fit.csv", _fit_csv(fit), spec_text, command)
             msg = f"over_rate: slope={fit.slope:.6g} r2={fit.r2:.4f} on {fit.x_axis}"
             try:
                 fit_n = fit_exponent([(r.n, r.p_over) for r in rows])
                 msg += f"; n-axis r2={fit_n.r2:.4f} (diagnostic)"
             except FitError:
                 pass
-            print(msg)
-        except FitError as exc:
-            print(f"warning: moderate-rate fit skipped: {exc}", file=sys.stderr)
-        return 0
-
-    if spec.mode == "entropy_table":
-        table = entropy_table(spec, spec.k_max)
-        write_artifact(out_dir / f"{prefix}_results.csv", table, spec_text, command)
-        print(table, end="")
-        return 0
-
-    return report_invariants(spec.seed)
+        save("fit", csv_text("x,neg_log_p", fit.points))
+        print(msg)
+    except FitError as exc:
+        print(f"warning: {'exponent' if under else 'moderate-rate'} fit skipped: {exc}",
+              file=sys.stderr)
+    return 0

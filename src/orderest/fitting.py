@@ -20,7 +20,6 @@ in K.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -30,7 +29,7 @@ from scipy.special import logsumexp
 from . import guillotine
 from .models import (
     Family, ModelConfig, ParameterError, Sample, Theta, ThetaAC, ThetaLM, ThetaVR,
-    UsageError, embed, fmt, log_likelihood, mixture_log_components, rng_for, vr_basis_matrix,
+    UsageError, csv_text, embed, log_likelihood, mixture_log_components, rng_for, vr_basis_matrix,
 )
 
 K_HARD_CAP = 64  # mixture sizes past this are a usage error, not a model
@@ -79,11 +78,13 @@ class ProfileCurve:
         return {k: r.loglik for k, r in enumerate(self.entries, start=1)}
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("K,loglik,converged,iterations\n")
-        for k, r in enumerate(self.entries, start=1):
-            buf.write(f"{k},{fmt(r.loglik)},{int(r.converged)},{r.iterations}\n")
-        return buf.getvalue()
+        return fits_csv(enumerate(self.entries, start=1))
+
+
+def fits_csv(fits) -> str:
+    """CSV of (K, FitResult) pairs, one row each: K,loglik,converged,iterations."""
+    return csv_text("K,loglik,converged,iterations",
+                    ((k, r.loglik, int(r.converged), r.iterations) for k, r in fits))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,8 @@ def _lm_start_list(z: np.ndarray, k: int, config: ModelConfig, starts: int,
     uniform = np.full(k, 1.0 / k)
     out = [(uniform.copy(), qs.copy())]
     rng = rng_for(seed, _EM_STREAM, k)
-    scale = max(float(np.std(z)) if z.size else 0.0, 1e-3)
+    with np.errstate(over="ignore"):  # inf past a spread of ~1e154: starts at the box ends
+        scale = max(float(np.std(z)) if z.size else 0.0, 1e-3)
     for _ in range(starts - 1):
         jitter = 0.5 * scale * rng.standard_normal(k)
         out.append((uniform.copy(), np.clip(qs + jitter, config.m_lo, config.m_hi)))

@@ -184,14 +184,15 @@ def random_tree(rng: np.random.Generator, k_leaves: int, depth_cap: int,
 # Tree fitting: one DP over a weighted grid
 # ---------------------------------------------------------------------------
 
-def _grid_dp(edges, atoms: np.ndarray, k_leaves: int, depth_cap: int, m_lo: float,
-             m_hi: float, tol: float) -> tuple[Node, float]:
-    """Best <=k_leaves tree of depth <=depth_cap; returns (tree, clipped SSE).
+def _grid_dp(edges, atoms: np.ndarray, depth_cap: int, m_lo: float, m_hi: float,
+             tol: float):
+    """A function k -> (best <=k-leaf tree of depth <=depth_cap, its clipped SSE).
 
     edges = ((lo1, hi1), (lo2, hi2)) are the extents of the grid lines per
     axis; atoms[:, i, j] = (weight, sum, sum of squares) of grid point (i, j),
     and every line carries positive weight.  A candidate replaces the
-    incumbent only when its SSE is lower by more than tol.
+    incumbent only when its SSE is lower by more than tol.  Calls share one
+    memo, so asking for K = 1, 2, ... in turn costs little more than the last.
     """
     pre = np.pad(atoms.cumsum(axis=1).cumsum(axis=2), ((0, 0), (1, 0), (1, 0)))
     views = (pre, pre.transpose(0, 2, 1))  # lines of the cut axis first
@@ -263,8 +264,8 @@ def _grid_dp(edges, atoms: np.ndarray, k_leaves: int, depth_cap: int, m_lo: floa
         memo[key] = (val, node)
         return val, node
 
-    val, node = best((0, atoms.shape[1], 0, atoms.shape[2]), k_leaves, depth_cap)
-    return node, val
+    root = (0, atoms.shape[1], 0, atoms.shape[2])
+    return lambda k_leaves: best(root, k_leaves, depth_cap)[::-1]
 
 
 def fit_tree_empirical(x: np.ndarray, y: np.ndarray, k_leaves: int, depth_cap: int,
@@ -283,8 +284,8 @@ def fit_tree_empirical(x: np.ndarray, y: np.ndarray, k_leaves: int, depth_cap: i
     u2, col = np.unique(x[:, 1], return_inverse=True)
     atoms = np.stack([np.bincount(row * u2.size + col, v, u1.size * u2.size)
                       for v in (np.ones(n), y, y * y)]).reshape(3, u1.size, u2.size)
-    tree, sse = _grid_dp(((u1, u1), (u2, u2)), atoms, k_leaves, depth_cap, m_lo, m_hi,
-                         tol=1e-12 * 2.0 * sigma ** 2)  # 1e-12 of log-likelihood
+    tree, sse = _grid_dp(((u1, u1), (u2, u2)), atoms, depth_cap, m_lo, m_hi,
+                         tol=1e-12 * 2.0 * sigma ** 2)(k_leaves)  # 1e-12 of log-likelihood
     return tree, n * (-0.5 * LOG_2PI - math.log(sigma)) - sse / (2.0 * sigma ** 2)
 
 
@@ -295,21 +296,26 @@ def fit_tree_population(target: Node, k_leaves: int, depth_cap: int,
     Returns (tree, integral of (f_target - f_tree)^2); candidate cuts are the
     target's own cuts.  Ties within 1e-15 of SSE go to the first candidate.
     """
+    return _population_dp(target, depth_cap, m_lo, m_hi)(k_leaves)
+
+
+def _population_dp(target: Node, depth_cap: int, m_lo: float, m_hi: float):
     cells = np.array(list(iter_cells(target)))
     e1, e2 = np.unique(cells[:, :2]), np.unique(cells[:, 2:4])
     mid1, mid2 = np.meshgrid(0.5 * (e1[:-1] + e1[1:]), 0.5 * (e2[:-1] + e2[1:]), indexing="ij")
     f = eval_tree(target, np.column_stack([mid1.ravel(), mid2.ravel()])).reshape(mid1.shape)
     area = np.outer(np.diff(e1), np.diff(e2))
     atoms = np.stack([area, area * f, area * f * f])
-    return _grid_dp(((e1[:-1], e1[1:]), (e2[:-1], e2[1:])), atoms, k_leaves, depth_cap,
+    return _grid_dp(((e1[:-1], e1[1:]), (e2[:-1], e2[1:])), atoms, depth_cap,
                     m_lo, m_hi, tol=1e-15)
 
 
 def minimal_leaf_count(target: Node, depth_cap: int, m_lo: float, m_hi: float,
                        tol: float = 1e-12) -> int:
     """Smallest leaf budget whose population DP reproduces the target exactly."""
+    fit = _population_dp(target, depth_cap, m_lo, m_hi)
     for k in range(1, leaf_count(target) + 1):
-        _, sse = fit_tree_population(target, k, depth_cap, m_lo, m_hi)
+        _, sse = fit(k)
         if sse <= tol:
             return k
     return leaf_count(target)

@@ -22,7 +22,6 @@ depends only on (s, t), never on execution order.
 from __future__ import annotations
 
 import enum
-import io
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -43,8 +42,8 @@ __all__ = [
     "eval_regression_fn",
     "vr_basis_matrix", "validate_theta", "theta_dim", "true_order", "embed",
     "random_theta", "Leaf", "Split",
-    "config_to_kv", "config_from_kv", "theta_to_kv", "theta_from_kv",
-    "sample_to_csv", "sample_from_csv", "fmt",
+    "CONFIG_KEYS", "config_to_kv", "config_from_kv", "theta_to_kv", "theta_from_kv",
+    "csv_text", "sample_to_csv", "sample_from_csv", "fmt",
 ]
 
 
@@ -94,6 +93,9 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
+        for name in ("sigma", "m_lo", "m_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.sigma > 0.0:
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
         if not self.m_lo < self.m_hi:
@@ -102,6 +104,12 @@ class ModelConfig:
             raise ParameterError("VR coefficient interval must contain 0")
         if self.ac_depth_max < 1:
             raise ParameterError("ac_depth_max must be >= 1")
+
+
+# The [model] keys of config and spec text, each with its parser, in the line
+# order config_to_kv writes; a missing key takes ModelConfig's default.
+CONFIG_KEYS = {"family": Family, "sigma": float, "m_lo": float, "m_hi": float,
+               "ac_depth_max": int}
 
 
 @dataclass(frozen=True)
@@ -345,11 +353,12 @@ def mixture_log_components(z: np.ndarray, weights, means, sigma: float) -> np.nd
     """log(w_k * N(z_i; mu_k, sigma^2)) for every point i and component k, shape (n, K).
 
     logsumexp over axis 1 gives the mixture log-density; zero weights give
-    -inf columns.
+    -inf columns, and points too far from a mean for a finite square give -inf
+    entries.
     """
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         log_w = np.log(np.asarray(weights, dtype=float))
-    q = ((z[:, None] - np.asarray(means, dtype=float)[None, :]) / sigma) ** 2
+        q = ((z[:, None] - np.asarray(means, dtype=float)[None, :]) / sigma) ** 2
     return (-0.5 * LOG_2PI - math.log(sigma)) - 0.5 * q + log_w[None, :]
 
 
@@ -418,49 +427,64 @@ def simulate(config: ModelConfig, theta_star: Theta, n: int, seed: int) -> Sampl
 # ---------------------------------------------------------------------------
 
 def _kv_lines(text: str) -> dict[str, str]:
+    """The one key = value line reader; blank and '#' lines are skipped."""
     out: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"not a key = value line: {raw!r}")
+            raise UsageError(f"not a key = value line: {raw!r}")
         key, val = line.split("=", 1)
         key = key.strip()
         if key in out:
-            raise ValueError(f"duplicate key {key!r}")
+            raise UsageError(f"duplicate key {key!r}")
         out[key] = val.strip()
     return out
 
 
+def _kv_parse(table: dict, kv: dict[str, str], section: str) -> dict:
+    """kv's values read by the parsers in table; unknown keys and bad values raise."""
+    unknown = set(kv) - set(table)
+    if unknown:
+        raise UsageError(f"unknown {section} keys: {sorted(unknown)}")
+    out = {}
+    for key, val in kv.items():
+        try:
+            out[key] = table[key](val)
+        except ValueError as exc:
+            raise UsageError(f"bad {section} value for {key}: {exc}") from exc
+    return out
+
+
+def _text(v) -> str:
+    """A value as spec or CSV text: floats by fmt, tuples space-separated."""
+    if isinstance(v, tuple):
+        return " ".join(map(_text, v))
+    return v.value if isinstance(v, Family) else fmt(v) if isinstance(v, float) else str(v)
+
+
+def _kv_text(keys, obj) -> str:
+    """One `key = value` line per key, in order, from obj's attributes."""
+    return "".join(f"{key} = {_text(getattr(obj, key))}\n" for key in keys)
+
+
 def config_to_kv(config: ModelConfig) -> str:
-    """Line-oriented form: family (LM|AC|VR), sigma, m_lo, m_hi (the compact
-    interval M), ac_depth_max.  Floats carry 17 significant digits
-    so the round trip is exact."""
-    return "\n".join([
-        f"family = {config.family.value}",
-        f"sigma = {fmt(config.sigma)}",
-        f"m_lo = {fmt(config.m_lo)}",
-        f"m_hi = {fmt(config.m_hi)}",
-        f"ac_depth_max = {config.ac_depth_max}",
-    ]) + "\n"
+    """Line-oriented form, one line per CONFIG_KEYS key: family (LM|AC|VR), sigma,
+    m_lo, m_hi (the compact interval M), ac_depth_max.  Floats carry 17
+    significant digits so the round trip is exact."""
+    return _kv_text(CONFIG_KEYS, config)
+
+
+def _config_from_map(kv: dict[str, str]) -> ModelConfig:
+    if "family" not in kv:
+        raise UsageError("missing key 'family'")
+    return ModelConfig(**_kv_parse(CONFIG_KEYS, kv, "[model]"))
 
 
 def config_from_kv(text: str) -> ModelConfig:
-    kv = _kv_lines(text)
-    known = {"family", "sigma", "m_lo", "m_hi", "ac_depth_max"}
-    unknown = set(kv) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "family" not in kv:
-        raise ValueError("missing key 'family'")
-    return ModelConfig(
-        family=Family(kv["family"]),
-        sigma=float(kv.get("sigma", "1.0")),
-        m_lo=float(kv.get("m_lo", "-2.0")),
-        m_hi=float(kv.get("m_hi", "2.0")),
-        ac_depth_max=int(kv.get("ac_depth_max", "4")),
-    )
+    """Inverse of config_to_kv; missing keys take ModelConfig's defaults."""
+    return _config_from_map(_kv_lines(text))
 
 
 def _tree_to_lines(node: Node, path: str, out: list[str]) -> None:
@@ -494,17 +518,20 @@ def theta_to_kv(theta: Theta) -> str:
                  the root "r" extended by 0 (low side) / 1 (high side).
     """
     if isinstance(theta, ThetaLM):
-        return (f"kind = lm\nweights = {' '.join(fmt(w) for w in theta.weights)}\n"
-                f"means = {' '.join(fmt(m) for m in theta.means)}\n")
+        return "kind = lm\n" + _kv_text(("weights", "means"), theta)
     if isinstance(theta, ThetaVR):
-        return f"kind = vr\ncoeffs = {' '.join(fmt(c) for c in theta.coeffs)}\n"
+        return "kind = vr\n" + _kv_text(("coeffs",), theta)
     lines = ["kind = ac"]
     _tree_to_lines(theta.tree, "r", lines)
     return "\n".join(lines) + "\n"
 
 
 def theta_from_kv(text: str) -> Theta:
-    kv = _kv_lines(text)
+    return _theta_from_map(_kv_lines(text))
+
+
+def _theta_from_map(kv: dict[str, str]) -> Theta:
+    kv = dict(kv)
     kind = kv.pop("kind", None)
     if kind == "lm":
         if set(kv) != {"weights", "means"}:
@@ -525,21 +552,20 @@ def theta_from_kv(text: str) -> Theta:
     raise ValueError(f"unknown or missing theta kind {kind!r}")
 
 
+def csv_text(header: str, rows) -> str:
+    """The one CSV writer: header line, then one line per row, LF endings;
+    floats carry fmt's 17 significant digits."""
+    return "\n".join([header] + [",".join(map(_text, row)) for row in rows]) + "\n"
+
+
+# sample CSV header per family: an index column, then the columns of Sample.points
+_SAMPLE_HEADERS = {Family.LM: "idx,z", Family.VR: "idx,x1,y", Family.AC: "idx,x1,x2,y"}
+
+
 def sample_to_csv(sample: Sample) -> str:
-    buf = io.StringIO()
-    if sample.family is Family.LM:
-        buf.write("idx,z\n")
-        for i, z in enumerate(sample.points):
-            buf.write(f"{i},{fmt(z)}\n")
-    elif sample.family is Family.VR:
-        buf.write("idx,x1,y\n")
-        for i, (x, y) in enumerate(sample.points):
-            buf.write(f"{i},{fmt(x)},{fmt(y)}\n")
-    else:
-        buf.write("idx,x1,x2,y\n")
-        for i, (x1, x2, y) in enumerate(sample.points):
-            buf.write(f"{i},{fmt(x1)},{fmt(x2)},{fmt(y)}\n")
-    return buf.getvalue()
+    header = _SAMPLE_HEADERS[sample.family]
+    pts = sample.points.reshape(sample.n, header.count(","))
+    return csv_text(header, ((i, *p) for i, p in enumerate(pts.tolist())))
 
 
 def sample_from_csv(text: str, seed: int = -1) -> Sample:
@@ -552,14 +578,10 @@ def sample_from_csv(text: str, seed: int = -1) -> Sample:
     if not lines:
         raise ValueError("empty sample CSV")
     header = lines[0].strip()
-    families = {"idx,z": Family.LM, "idx,x1,y": Family.VR, "idx,x1,x2,y": Family.AC}
+    families = {h: f for f, h in _SAMPLE_HEADERS.items()}
     if header not in families:
         raise ValueError(f"unrecognized sample header {header!r}")
     family = families[header]
     rows = [tuple(float(v) for v in ln.split(",")[1:]) for ln in lines[1:]]
-    pts = np.asarray(rows, dtype=float)
-    if family is Family.LM:
-        pts = pts.reshape(-1)
-    elif pts.size == 0:
-        pts = pts.reshape(0, 2 if family is Family.VR else 3)
-    return Sample(family, pts, seed, len(rows))
+    pts = np.asarray(rows, dtype=float).reshape(len(rows), -1 if rows else header.count(","))
+    return Sample(family, pts.ravel() if family is Family.LM else pts, seed, len(rows))

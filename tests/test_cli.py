@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from orderest import parse_spec
 from orderest.cli import main
 
 SPEC = """
@@ -54,6 +55,45 @@ def test_simulate_then_fit_then_order(spec_file, tmp_path, capsys):
                  "--out", str(tmp_path / "order.csv")]) == 0
     out = capsys.readouterr().out
     assert "k_local=2" in out and "k_global=2" in out
+
+
+def test_fit_single_k(spec_file, tmp_path):
+    sample_path = tmp_path / "sample.csv"
+    assert main(["simulate", "--spec", spec_file, "--out", str(sample_path)]) == 0
+    fit_path = tmp_path / "fit.csv"
+    assert main(["fit", "--spec", spec_file, "--sample", str(sample_path), "--k", "3",
+                 "--out", str(fit_path)]) == 0
+    lines = fit_path.read_text().splitlines()
+    assert lines[0] == "K,loglik,converged,iterations" and len(lines) == 2
+    assert lines[1].startswith("3,")
+
+
+@pytest.mark.parametrize("flag, value, line", [
+    ("--estimator", "local", "estimator = local"),
+    ("--n-grid", "100 300", "n_grid = 100 300"),
+    ("--trials", "9", "trials = 9"),
+    ("--seed", "5", "seed = 5"),
+    ("--k-max", "2", "k_max = 2"),
+    ("--output-dir", "elsewhere", "output_dir = elsewhere"),
+    ("--schedule", "bic D=dim", "spec = bic D=dim"),
+])
+def test_override_lands_in_manifest(flag, value, line, spec_file, tmp_path):
+    sample_path = tmp_path / "sample.csv"
+    assert main(["simulate", "--spec", spec_file, flag, value, "--out", str(sample_path)]) == 0
+    spec_text = json.loads(Path(str(sample_path) + ".manifest.json").read_text())["spec_text"]
+    assert line in spec_text.splitlines()
+    assert parse_spec(spec_text).to_text() == spec_text
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--schedule", "nonsense"), ("--trials", "many"), ("--n-grid", "300 100"),
+])
+def test_bad_override_writes_nothing(flag, value, spec_file, tmp_path, capsys):
+    out_dir = tmp_path / "bad"
+    assert main(["simulate", "--spec", spec_file, flag, value,
+                 "--out", str(out_dir / "sample.csv")]) == 2
+    assert not out_dir.exists()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_entropy_subcommand(spec_file, capsys):

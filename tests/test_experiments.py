@@ -44,6 +44,32 @@ class TestParseSpec:
         assert spec.n_grid == (500, 1000)
         assert parse_spec(spec.to_text()) == spec
 
+    def test_text_format_pinned(self):
+        # spec_hash in every manifest hashes this text: key order, defaults
+        # written out and 17-digit floats must not drift
+        text = SPEC_TEXT.format(out="out").replace("1.0 0.5", "1.0 0.1")
+        assert parse_spec(text).to_text() == (
+            "[model]\n"
+            "family = VR\n"
+            "sigma = 1\n"
+            "m_lo = -2\n"
+            "m_hi = 2\n"
+            "ac_depth_max = 4\n"
+            "theta.kind = vr\n"
+            "theta.coeffs = 1 0.10000000000000001\n"
+            "\n"
+            "[schedule]\n"
+            "spec = power:0.4 D=dim\n"
+            "\n"
+            "[run]\n"
+            "mode = entropy_table\n"
+            "estimator = global\n"
+            "n_grid = 500 1000\n"
+            "trials = 50\n"
+            "seed = 123\n"
+            "k_max = 3\n"
+            "output_dir = out\n")
+
     def test_round_trip_all_families(self, tmp_path):
         base = spec_for(tmp_path)
         from dataclasses import replace

@@ -81,10 +81,11 @@ class TestEmLm:
         with pytest.raises(UsageError):
             fit_lm_em(s, 100, LM)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("z, k", [([1e308, -1e308, 0.0, 1.0], 1), ([1e200, 0.0, 1.0], 2)])
     def test_extreme_data_fails_in_em(self, z, k):
-        # finite data whose log-likelihood overflows: EM reports it, not ThetaLM
+        # finite data whose log-likelihood overflows: EM reports it, not ThetaLM,
+        # and without numpy overflow warnings on the way
         s = Sample(Family.LM, np.asarray(z), seed=0, n=len(z))
         with pytest.raises(ParameterError, match=f"^EM at K={k}: log-likelihood is -inf"):
             fit_lm_em(s, k, LM)

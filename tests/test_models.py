@@ -31,6 +31,17 @@ class TestValidation:
         with pytest.raises(ParameterError):
             ModelConfig(Family.AC, ac_depth_max=0)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("sigma", {"sigma": math.inf}),
+        ("sigma", {"sigma": math.nan}),
+        ("m_lo", {"m_lo": -math.inf, "m_hi": math.inf}),
+        ("m_lo", {"m_lo": math.nan}),
+        ("m_hi", {"m_hi": math.inf}),
+    ])
+    def test_config_rejects_non_finite(self, field, kwargs):
+        with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+            ModelConfig(Family.LM, **kwargs)
+
     def test_theta_invariants(self):
         with pytest.raises(ParameterError):
             ThetaLM((0.6, 0.6), (0.0, 1.0))  # weights don't sum to 1
