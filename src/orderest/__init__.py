@@ -4,8 +4,8 @@ Modules:
 
 - models: the three families (LM, AC, VR), parameter types, simulators,
   log-densities and serialization.
-- fitting: per-family maximum likelihood (EM / box-constrained coordinate
-  descent / guillotine-tree DP) and the per-K profile curve.
+- fitting: per-family maximum likelihood (EM / box-constrained least
+  squares / guillotine-tree DP) and the per-K profile curve.
 - criterion: penalty schedules pen(n, K) = v_n D(K), the penalized criterion,
   the first-local-max and smallest-global-max order estimators, and the
   finite-grid schedule diagnostics.

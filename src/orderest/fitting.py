@@ -7,9 +7,12 @@
   clipped to [m_lo, m_hi] (the constrained argmax, so the usual EM ascent
   property survives the clipping).
 - VR: maximizing the likelihood is a box-constrained least-squares problem.
-  _box_qp runs cyclic coordinate descent with exact clipped coordinate
-  updates, which converges to the global optimum of the convex quadratic;
-  fit_vr and profile() both call it, each with its own Gram matrix.
+  _vr_optima solves the normal equations of every requested leading block of
+  one Gram matrix in a single batch; a solution inside the box is the exact
+  optimum of the convex quadratic.  Where a bound binds or a block is
+  singular, _box_qp (cyclic coordinate descent with exact clipped coordinate
+  updates) finishes from the previous block's optimum.  fit_vr asks for one
+  block, profile() for all of K = 1..K_top from one basis.
 - AC: exact dynamic programming over guillotine trees (see guillotine.py).
 
 fit_k() dispatches a single-K fit by family.  profile() fits K = 1..K_top,
@@ -29,7 +32,8 @@ from scipy.special import logsumexp
 from . import guillotine
 from .models import (
     Family, ModelConfig, ParameterError, Sample, Theta, ThetaAC, ThetaLM, ThetaVR,
-    UsageError, csv_text, embed, log_likelihood, mixture_log_components, rng_for, vr_basis_matrix,
+    UsageError, csv_text, embed, log_likelihood, mixture_log_components,
+    regression_log_densities, rng_for, vr_basis_matrix,
 )
 
 K_HARD_CAP = 64  # mixture sizes past this are a usage error, not a model
@@ -176,7 +180,7 @@ def fit_lm_em(sample: Sample, k: int, config: ModelConfig, starts: int = 10,
 
 
 # ---------------------------------------------------------------------------
-# VR: box-constrained least squares by coordinate descent
+# VR: box-constrained least squares
 # ---------------------------------------------------------------------------
 
 def _box_qp(gram: np.ndarray, b: np.ndarray, theta: np.ndarray, lo: float, hi: float,
@@ -202,18 +206,52 @@ def _box_qp(gram: np.ndarray, b: np.ndarray, theta: np.ndarray, lo: float, hi: f
     return theta, sweeps, converged
 
 
+def _vr_optima(gram: np.ndarray, b: np.ndarray, ks, lo: float, hi: float,
+               tol: float) -> tuple[np.ndarray, list[int], list[bool]]:
+    """Minimize theta' gram theta - 2 b' theta over [lo, hi]^k on each leading
+    block gram[:k, :k], k in ks (increasing); returns (coeffs, sweeps, converged)
+    with row i of coeffs the optimum for ks[i], padded with zeros.
+
+    Every block's normal equations are solved in one batch, each padded to full
+    size with the identity.  A solution inside [lo, hi] is the exact optimum
+    (0 sweeps); otherwise a bound binds or the block is singular, and _box_qp
+    runs from the previous block's optimum padded with a zero, to tolerance tol.
+    """
+    ks = np.asarray(ks)
+    top = gram.shape[0]
+    inside = np.arange(top) < ks[:, None]
+    blocks = np.where(inside[:, :, None] & inside[:, None, :], gram, np.eye(top))
+    try:
+        coeffs = np.linalg.solve(blocks, np.where(inside, b, 0.0)[..., None])[..., 0]
+        coeffs = np.where(inside, coeffs, 0.0)
+    except np.linalg.LinAlgError:  # one singular block fails the batch
+        coeffs = np.full(inside.shape, np.nan)
+    solved = (((lo <= coeffs) & (coeffs <= hi)) | ~inside).all(axis=1)
+    sweeps = [0] * len(ks)
+    converged = [True] * len(ks)
+    theta = np.zeros(top)
+    for i, k in enumerate(ks):
+        if solved[i]:
+            theta[:k] = coeffs[i, :k]
+            continue
+        _, sweeps[i], converged[i] = _box_qp(gram[:k, :k], b[:k], theta[:k], lo, hi, tol)
+        coeffs[i] = theta  # still zero past k
+    return coeffs, sweeps, converged
+
+
 def fit_vr(sample: Sample, k: int, config: ModelConfig, tol: float = VR_TOL) -> FitResult:
-    """Global optimum of the convex box-constrained quadratic, to tolerance tol."""
+    """Global optimum of the convex box-constrained quadratic; tol is the
+    coordinate-descent tolerance, used only where a bound binds."""
     if config.family is not Family.VR or sample.family is not Family.VR:
         raise UsageError("fit_vr needs a VR config and sample")
     if k < 1:
         raise UsageError("K must be >= 1")
     basis = vr_basis_matrix(sample.x, k)
-    theta, sweeps, converged = _box_qp(basis.T @ basis, basis.T @ sample.y, np.zeros(k),
-                                       config.m_lo, config.m_hi, tol)
-    result = ThetaVR(tuple(theta))
+    coeffs, sweeps, converged = _vr_optima(basis.T @ basis, basis.T @ sample.y, [k],
+                                           config.m_lo, config.m_hi, tol)
+    result = ThetaVR(tuple(coeffs[0]))
     return FitResult(theta=result, loglik=log_likelihood(config, result, sample),
-                     iterations=sweeps, converged=converged, starts_used=1)
+                     iterations=sweeps[0], converged=converged[0], starts_used=1)
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +294,19 @@ def profile(sample: Sample, config: ModelConfig, k_top: int) -> ProfileCurve:
     entries: list[FitResult] = []
 
     if config.family is Family.VR:
-        # one basis/Gram build at k_top, coordinate descent on leading blocks
+        if sample.family is not Family.VR:
+            raise UsageError("profile needs a VR sample for a VR config")
+        # one basis at k_top: every K's optimum and log-likelihood come from it
         basis = vr_basis_matrix(sample.x, k_top)
-        gram = basis.T @ basis
-        b = basis.T @ sample.y
-        # each K starts from the (K-1)-th solution padded with a zero
-        theta = np.zeros(k_top)
+        coeffs, sweeps, converged = _vr_optima(basis.T @ basis, basis.T @ sample.y,
+                                               range(1, k_top + 1), config.m_lo,
+                                               config.m_hi, VR_TOL)
+        logliks = regression_log_densities(sample.y, coeffs @ basis.T,
+                                           config.sigma).sum(axis=1)
         for k in range(1, k_top + 1):
-            head, sweeps, converged = _box_qp(gram[:k, :k], b[:k], theta[:k],
-                                              config.m_lo, config.m_hi, VR_TOL)
-            th = ThetaVR(tuple(head))
-            entries.append(FitResult(th, log_likelihood(config, th, sample), sweeps,
-                                     converged, 1))
+            entries.append(FitResult(ThetaVR(tuple(coeffs[k - 1, :k])),
+                                     float(logliks[k - 1]), sweeps[k - 1],
+                                     converged[k - 1], 1))
     else:
         prev: FitResult | None = None
         for k in range(1, k_top + 1):

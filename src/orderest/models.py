@@ -38,8 +38,8 @@ _SEED_MASK = (1 << 64) - 1
 __all__ = [
     "Family", "ModelConfig", "ThetaLM", "ThetaVR", "ThetaAC", "Theta", "Sample",
     "ParameterError", "UsageError", "rng_for", "derive_seed", "simulate",
-    "log_density", "mixture_log_components", "point_log_densities", "log_likelihood",
-    "eval_regression_fn",
+    "log_density", "mixture_log_components", "point_log_densities", "regression_log_densities",
+    "log_likelihood", "eval_regression_fn",
     "vr_basis_matrix", "validate_theta", "theta_dim", "true_order", "embed",
     "random_theta", "Leaf", "Split",
     "CONFIG_KEYS", "config_to_kv", "config_from_kv", "theta_to_kv", "theta_from_kv",
@@ -380,7 +380,12 @@ def point_log_densities(config: ModelConfig, theta: Theta, points: np.ndarray) -
         f = vr_basis_matrix(x[:, 0], theta.k) @ np.asarray(theta.coeffs)
     else:
         f = guillotine.eval_tree(theta.tree, x)
-    # uniform design density contributes log 1 = 0
+    return regression_log_densities(y, f, sigma)
+
+
+def regression_log_densities(y: np.ndarray, f: np.ndarray, sigma: float) -> np.ndarray:
+    """log N(y; f, sigma^2) elementwise: the VR/AC log-density of (x, y) given
+    f = f_theta(x); the uniform design density contributes log 1 = 0."""
     return (-0.5 * LOG_2PI - math.log(sigma)) - 0.5 * ((y - f) / sigma) ** 2
 
 
@@ -496,17 +501,22 @@ def _tree_to_lines(node: Node, path: str, out: list[str]) -> None:
     _tree_to_lines(node.high, path + "1", out)
 
 
-def _tree_from_map(nodes: dict[str, str], path: str) -> Node:
-    if path not in nodes:
-        raise ValueError(f"missing tree node at path {path!r}")
-    parts = nodes[path].split()
-    if parts[0] == "leaf" and len(parts) == 2:
-        return Leaf(float(parts[1]))
-    if parts[0] == "split" and len(parts) == 3:
-        return Split(int(parts[1]), float(parts[2]),
-                     _tree_from_map(nodes, path + "0"),
-                     _tree_from_map(nodes, path + "1"))
-    raise ValueError(f"bad tree node spec {nodes[path]!r} at path {path!r}")
+def _tree_from_map(kv: dict[str, str], path: str) -> Node:
+    key = "tree." + path
+    if key not in kv:
+        raise UsageError(f"missing [model] key theta.{key}")
+    parts = kv[key].split()
+    try:
+        if parts[:1] == ["leaf"] and len(parts) == 2:
+            return Leaf(float(parts[1]))
+        if parts[:1] == ["split"] and len(parts) == 3:
+            return Split(int(parts[1]), float(parts[2]), _tree_from_map(kv, path + "0"),
+                         _tree_from_map(kv, path + "1"))
+        raise ValueError("expected 'leaf <mark>' or 'split <axis> <cut>'")
+    except UsageError:
+        raise  # a child's error already names its key
+    except ValueError as exc:
+        raise _bad_theta(key, exc) from exc
 
 
 def theta_to_kv(theta: Theta) -> str:
@@ -530,26 +540,36 @@ def theta_from_kv(text: str) -> Theta:
     return _theta_from_map(_kv_lines(text))
 
 
+def _bad_theta(key: str, exc: ValueError) -> UsageError:
+    return UsageError(f"bad [model] value for theta.{key}: {exc}")
+
+
+def _theta_floats(kv: dict[str, str], key: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in kv[key].split())
+    except ValueError as exc:
+        raise _bad_theta(key, exc) from exc
+
+
 def _theta_from_map(kv: dict[str, str]) -> Theta:
+    """Theta from its keys without the spec's "theta." prefix; a bad value
+    raises UsageError naming its key."""
     kv = dict(kv)
     kind = kv.pop("kind", None)
     if kind == "lm":
         if set(kv) != {"weights", "means"}:
-            raise ValueError(f"lm theta needs exactly keys weights, means; got {sorted(kv)}")
-        return ThetaLM(tuple(float(w) for w in kv["weights"].split()),
-                       tuple(float(m) for m in kv["means"].split()))
+            raise UsageError(f"lm theta needs exactly keys weights, means; got {sorted(kv)}")
+        return ThetaLM(_theta_floats(kv, "weights"), _theta_floats(kv, "means"))
     if kind == "vr":
         if set(kv) != {"coeffs"}:
-            raise ValueError(f"vr theta needs exactly key coeffs; got {sorted(kv)}")
-        return ThetaVR(tuple(float(c) for c in kv["coeffs"].split()))
+            raise UsageError(f"vr theta needs exactly key coeffs; got {sorted(kv)}")
+        return ThetaVR(_theta_floats(kv, "coeffs"))
     if kind == "ac":
-        nodes = {}
-        for key, val in kv.items():
-            if not key.startswith("tree."):
-                raise ValueError(f"unknown ac theta key {key!r}")
-            nodes[key[len("tree."):]] = val
-        return ThetaAC(_tree_from_map(nodes, "r"))
-    raise ValueError(f"unknown or missing theta kind {kind!r}")
+        unknown = sorted(key for key in kv if not key.startswith("tree."))
+        if unknown:
+            raise UsageError(f"unknown ac theta keys {unknown}")
+        return ThetaAC(_tree_from_map(kv, "r"))
+    raise UsageError(f"unknown or missing theta kind {kind!r}")
 
 
 def csv_text(header: str, rows) -> str:

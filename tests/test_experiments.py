@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -34,6 +35,12 @@ def spec_for(tmp_path, **overrides) -> ExperimentSpec:
         from dataclasses import replace
         spec = replace(spec, **overrides)
     return spec
+
+
+@pytest.fixture(scope="module")
+def invariant_results():
+    """invariant_suite(seed=0), run once (~15 s) for every test that reads it."""
+    return invariant_suite(seed=0)
 
 
 class TestParseSpec:
@@ -113,6 +120,23 @@ class TestParseSpec:
         with pytest.raises(UsageError):
             spec_for(tmp_path, n_grid=(100, 50))
 
+    @pytest.mark.parametrize("family, theta, key", [
+        ("VR", "theta.kind = vr\ntheta.coeffs = 1 x", "theta.coeffs"),
+        ("LM", "theta.kind = lm\ntheta.weights = 0.5 y\ntheta.means = 0 1", "theta.weights"),
+        ("LM", "theta.kind = lm\ntheta.weights = 0.5 0.5\ntheta.means = 0 z", "theta.means"),
+        ("AC", "theta.kind = ac\ntheta.tree.r = split x 0.5\n"
+               "theta.tree.r0 = leaf 0\ntheta.tree.r1 = leaf 1", "theta.tree.r"),
+        ("AC", "theta.kind = ac\ntheta.tree.r = split 1 0.5\n"
+               "theta.tree.r0 = leaf 0\ntheta.tree.r1 = leaf w", "theta.tree.r1"),
+        ("AC", "theta.kind = ac\ntheta.tree.r = split 3 0.5\n"
+               "theta.tree.r0 = leaf 0\ntheta.tree.r1 = leaf 1", "theta.tree.r"),
+    ])
+    def test_bad_theta_value_names_key(self, family, theta, key):
+        text = (SPEC_TEXT.format(out="x").replace("family = VR", f"family = {family}")
+                .replace("theta.kind = vr\ntheta.coeffs = 1.0 0.5", theta))
+        with pytest.raises(UsageError, match=re.escape(f"bad [model] value for {key}: ")):
+            parse_spec(text)
+
     def test_theta_outside_box_rejected_at_parse(self):
         text = SPEC_TEXT.format(out="x").replace("theta.coeffs = 1.0 0.5",
                                                  "theta.coeffs = 9.0 0.5")
@@ -169,16 +193,21 @@ class TestRun:
         fit_lines = (tmp_path / "d" / "under_exponent_fit.csv").read_text().splitlines()
         assert fit_lines[0] == "x,neg_log_p"
 
-    def test_invariants_mode(self, tmp_path, capsys):
-        spec = spec_for(tmp_path, mode="invariants")
+    def test_invariants_mode(self, tmp_path, capsys, monkeypatch, invariant_results):
+        from orderest import experiments
+        seeds = []
+        monkeypatch.setattr(experiments, "invariant_suite",
+                            lambda seed: seeds.append(seed) or invariant_results)
+        spec = spec_for(tmp_path, mode="invariants", seed=0)
         assert run(spec) == 0
+        assert seeds == [0]
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 4
 
 
 class TestInvariantSuite:
-    def test_all_pass(self):
-        results = invariant_suite(seed=0)
+    def test_all_pass(self, invariant_results):
+        results = invariant_results
         names = [name for name, _, _ in results]
         assert names == ["kl_nonnegativity", "em_monotonicity",
                          "profile_monotonicity", "peeling"]

@@ -7,6 +7,7 @@ from orderest import (
     Family, Leaf, ModelConfig, ParameterError, Sample, Split, ThetaAC, ThetaLM, ThetaVR,
     UsageError, fit_ac, fit_lm_em, fit_vr, log_likelihood, profile, simulate,
 )
+from orderest.fitting import _box_qp
 from orderest.models import derive_seed, rng_for, vr_basis_matrix
 from orderest import guillotine
 
@@ -284,6 +285,19 @@ class TestFitAc:
                         sse, abs=1e-12), (trial, cap, k)
 
 
+def _coordinate_descent_logliks(sample, config, k_top):
+    """The VR profile log-likelihoods by warm-started coordinate descent on each
+    leading block of the Gram matrix, to tolerance 1e-12, dips repaired."""
+    basis = vr_basis_matrix(sample.x, k_top)
+    gram, b = basis.T @ basis, basis.T @ sample.y
+    theta = np.zeros(k_top)
+    lls = []
+    for k in range(1, k_top + 1):
+        head, _, _ = _box_qp(gram[:k, :k], b[:k], theta[:k], config.m_lo, config.m_hi, 1e-12)
+        lls.append(log_likelihood(config, ThetaVR(tuple(head)), sample))
+    return list(np.maximum.accumulate(lls))
+
+
 class TestProfile:
     def test_k_top_one_matches_fitter(self):
         s = simulate(VR, ThetaVR((1.0,)), 60, seed=2)
@@ -308,6 +322,31 @@ class TestProfile:
         for k in range(1, 5):
             fresh = fit_vr(s, k, VR, tol=1e-12)
             assert prof.loglik(k) == pytest.approx(fresh.loglik, abs=1e-6)
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 3.0])
+    def test_vr_profile_matches_coordinate_descent(self, sigma):
+        # designs: every third in a tight box, every fourth on a 0.1 lattice
+        # (duplicate rows), every fifth with n < k_top (singular Gram)
+        rng = rng_for(61, int(10 * sigma))
+        tight_sweeps = 0
+        for d in range(30):
+            tight = d % 3 == 0
+            config = ModelConfig(Family.VR, sigma=sigma, m_lo=-0.25 if tight else -2.0,
+                                 m_hi=0.25 if tight else 2.0)
+            k_top = int(rng.integers(2, 7))
+            n = int(rng.integers(1, k_top)) if d % 5 == 0 else int(rng.integers(k_top, 200))
+            x = rng.uniform(0.0, 1.0, n)
+            if d % 4 == 1:
+                x = np.round(x, 1)
+            y = vr_basis_matrix(x, 2) @ np.array([1.0, 0.5]) + sigma * rng.standard_normal(n)
+            s = Sample(Family.VR, np.column_stack([x, y]), seed=0, n=n)
+            prof = profile(s, config, k_top)
+            lls = [prof.loglik(k) for k in range(1, k_top + 1)]
+            assert lls == pytest.approx(_coordinate_descent_logliks(s, config, k_top),
+                                        rel=0.0, abs=1e-9)
+            if tight:
+                tight_sweeps += sum(e.iterations for e in prof.entries)
+        assert tight_sweeps > 0  # a binding bound must reach the coordinate descent
 
     def test_profile_csv(self):
         s = simulate(VR, ThetaVR((1.0,)), 30, seed=2)
