@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from . import guillotine
 from .models import (
     Family, ModelConfig, Theta, ThetaAC, ThetaLM, ThetaVR, UsageError, embed,
-    mixture_log_components, rng_for, true_order, validate_theta,
+    logsumexp_rows, mixture_log_components, rng_for, true_order, validate_theta,
 )
 
 _PROJECTION_STREAM = 301
@@ -76,10 +75,10 @@ def _mixture_kl_panels(theta_a: ThetaLM, theta_b: ThetaLM, config: ModelConfig,
     half = 0.5 * (edges[1] - edges[0])
     z = (centers[:, None] + half * pts[None, :]).ravel()
     w = (half * np.broadcast_to(wts, (panels, nodes))).ravel()
-    la = logsumexp(mixture_log_components(z, theta_a.weights, theta_a.means, config.sigma),
-                   axis=1)
-    lb = logsumexp(mixture_log_components(z, theta_b.weights, theta_b.means, config.sigma),
-                   axis=1)
+    la = logsumexp_rows(mixture_log_components(z, theta_a.weights, theta_a.means,
+                                               config.sigma))
+    lb = logsumexp_rows(mixture_log_components(z, theta_b.weights, theta_b.means,
+                                               config.sigma))
     return float(np.sum(w * np.exp(la) * (la - lb)))
 
 

@@ -1,11 +1,15 @@
 """Maximum-likelihood fitting per family and the per-K profile curve.
 
-- LM: multi-start EM with known sigma, stopped when the log-likelihood gains
-  less than EM_TOL or after EM_MAX_ITER steps.  E-step computes posterior
-  responsibilities from models.mixture_log_components; M-step sets weights
-  to responsibility averages and means to responsibility-weighted means
-  clipped to [m_lo, m_hi] (the constrained argmax, so the usual EM ascent
-  property survives the clipping).
+- LM: multi-start EM with known sigma, each start stopped when its
+  log-likelihood gains less than EM_TOL or after EM_MAX_ITER steps.  E-step
+  computes posterior responsibilities from models.mixture_log_components and
+  models.logsumexp_rows; M-step sets weights to responsibility averages and
+  means to responsibility-weighted means clipped to [m_lo, m_hi] (the
+  constrained argmax, so the usual EM ascent property survives the clipping).
+  _em_run runs all starts of one fit as one (S, n, K) batch and freezes each
+  start at the iteration where it converges, so every start follows the path
+  it would follow alone; the best start wins, ties within 1e-12 going to the
+  earliest.
 - VR: maximizing the likelihood is a box-constrained least-squares problem.
   _vr_optima solves the normal equations of every requested leading block of
   one Gram matrix in a single batch; a solution inside the box is the exact
@@ -27,12 +31,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import guillotine
 from .models import (
     Family, ModelConfig, ParameterError, Sample, Theta, ThetaAC, ThetaLM, ThetaVR,
-    UsageError, csv_text, embed, log_likelihood, mixture_log_components,
+    UsageError, csv_text, embed, log_likelihood, logsumexp_rows, mixture_log_components,
     regression_log_densities, rng_for, vr_basis_matrix,
 )
 
@@ -95,43 +98,57 @@ def fits_csv(fits) -> str:
 # LM: EM
 # ---------------------------------------------------------------------------
 
-def _em_run(z: np.ndarray, config: ModelConfig, w0: np.ndarray,
-            m0: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int, bool, tuple]:
-    w = np.asarray(w0, dtype=float).copy()
-    m = np.asarray(m0, dtype=float).copy()
+def _em_run(z: np.ndarray, config: ModelConfig, w0: np.ndarray, m0: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, list[float], np.ndarray, np.ndarray, list]:
+    """EM from S starts at once: w0, m0 are (S, K), one start per row.
+
+    Each iteration evaluates every running start in one (S, n, K) pass; a start
+    is frozen at the iteration where it converges.  Returns per start, in
+    order: weights, means, final loglik, iterations, converged and loglik path.
+    """
+    w = np.array(w0, dtype=float)
+    m = np.array(m0, dtype=float)
+    n_starts, k = w.shape
     n = z.shape[0]
     if n == 0:
-        return w, m, 0.0, 0, True, (0.0,)
-    path = []
-    prev = -np.inf
-    converged = False
-    iters = 0
+        return (w, m, [0.0] * n_starts, np.zeros(n_starts, dtype=int),
+                np.ones(n_starts, dtype=bool), [(0.0,)] * n_starts)
+    paths: list[list[float]] = [[] for _ in range(n_starts)]
+    prev = np.full(n_starts, -np.inf)
+    iters = np.full(n_starts, EM_MAX_ITER)
+    converged = np.zeros(n_starts, dtype=bool)
+    run = np.arange(n_starts)  # the starts still running
 
-    def eval_ll(w, m):
-        comp = mixture_log_components(z, w, m, config.sigma)
-        per_obs = logsumexp(comp, axis=1)
-        ll = float(per_obs.sum())
-        if not math.isfinite(ll):
-            raise ParameterError(f"EM at K={w.size}: log-likelihood is {ll}; the data are "
-                                 f"too extreme for sigma={config.sigma:g}")
+    def eval_ll(run):
+        comp = mixture_log_components(z, w[run], m[run], config.sigma)
+        per_obs = logsumexp_rows(comp)
+        ll = per_obs.sum(axis=1)
+        for s, v in zip(run, ll.tolist()):
+            paths[s].append(v)
+            if not math.isfinite(v):
+                raise ParameterError(f"EM at K={k}: log-likelihood is {v}; the data are "
+                                     f"too extreme for sigma={config.sigma:g}")
         return comp, per_obs, ll
 
-    for iters in range(1, EM_MAX_ITER + 1):
-        comp, per_obs, ll = eval_ll(w, m)
-        path.append(ll)
-        if ll - prev < EM_TOL:
-            converged = True
-            break
-        prev = ll
-        resp = np.exp(comp - per_obs[:, None])
-        nk = resp.sum(axis=0)
-        w = nk / n
+    for it in range(1, EM_MAX_ITER + 1):
+        comp, per_obs, ll = eval_ll(run)
+        done = ll - prev[run] < EM_TOL
+        if done.any():
+            iters[run[done]] = it
+            converged[run[done]] = True
+            run, comp, per_obs, ll = run[~done], comp[~done], per_obs[~done], ll[~done]
+            if run.size == 0:
+                break
+        prev[run] = ll
+        resp = np.exp(comp - per_obs[:, :, None])
+        nk = resp.sum(axis=1)
+        w[run] = nk / n
         with np.errstate(invalid="ignore"):
-            new_m = resp.T @ z / nk
-        m = np.where(nk > 0.0, np.clip(new_m, config.m_lo, config.m_hi), m)
-    if not converged:
-        path.append(eval_ll(w, m)[2])  # loglik of the params actually returned
-    return w, m, path[-1], iters, converged, tuple(path)
+            new_m = resp.transpose(0, 2, 1) @ z / nk
+        m[run] = np.where(nk > 0.0, np.clip(new_m, config.m_lo, config.m_hi), m[run])
+    if run.size:
+        eval_ll(run)  # loglik of the params actually returned
+    return w, m, [path[-1] for path in paths], iters, converged, paths
 
 
 def _lm_start_list(z: np.ndarray, k: int, config: ModelConfig, starts: int,
@@ -165,18 +182,20 @@ def fit_lm_em(sample: Sample, k: int, config: ModelConfig, starts: int = 10,
     if extra_inits:
         inits = [(np.asarray(w, dtype=float), np.asarray(m, dtype=float))
                  for w, m in extra_inits] + inits
-    best = None
-    paths = []
-    for w0, m0 in inits:
-        w, m, ll, iters, conv, path = _em_run(z, config, w0, m0)
-        paths.append(path)
-        if best is None or ll > best[2] + 1e-12:
-            best = (w, m, ll, iters, conv)
-    w, m, _, iters, conv = best
+        if any(w.shape != (k,) or m.shape != (k,) for w, m in inits):
+            raise UsageError(f"each of extra_inits needs K={k} weights and {k} means")
+    w, m, lls, iters, conv, paths = _em_run(z, config, [w for w, _ in inits],
+                                            [m for _, m in inits])
+    best = 0
+    for i in range(1, len(inits)):
+        if lls[i] > lls[best] + 1e-12:
+            best = i
+    w, m = w[best], m[best]
     theta = ThetaLM(tuple(w / w.sum()), tuple(m))
     return FitResult(theta=theta, loglik=log_likelihood(config, theta, sample),
-                     iterations=iters, converged=conv, starts_used=len(inits),
-                     loglik_paths=tuple(paths) if track_paths else None)
+                     iterations=int(iters[best]), converged=bool(conv[best]),
+                     starts_used=len(inits),
+                     loglik_paths=tuple(map(tuple, paths)) if track_paths else None)
 
 
 # ---------------------------------------------------------------------------

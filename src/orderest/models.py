@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import guillotine
 from .guillotine import Leaf, Node, Split
@@ -38,7 +37,8 @@ _SEED_MASK = (1 << 64) - 1
 __all__ = [
     "Family", "ModelConfig", "ThetaLM", "ThetaVR", "ThetaAC", "Theta", "Sample",
     "ParameterError", "UsageError", "rng_for", "derive_seed", "simulate",
-    "log_density", "mixture_log_components", "point_log_densities", "regression_log_densities",
+    "log_density", "logsumexp_rows", "mixture_log_components", "point_log_densities",
+    "regression_log_densities",
     "log_likelihood", "eval_regression_fn",
     "vr_basis_matrix", "validate_theta", "theta_dim", "true_order", "embed",
     "random_theta", "Leaf", "Split",
@@ -349,17 +349,44 @@ def eval_regression_fn(config: ModelConfig, theta: Theta, x):
     return guillotine.eval_tree(theta.tree, xs)
 
 
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, equal bit for bit to
+    scipy.special.logsumexp(a, axis=-1) for real a, by the same formula: the
+    row max, the count m of entries tied at it, and
+    log1p(sum over the other entries of exp(a - max) / m) + log(m) + max.
+    Rows where that is not finite (all -inf, or +inf) take log(sum(exp(a))).
+
+    The max and m are exact whatever the order, so they are taken column by
+    column, which is much faster than a reduction over a short last axis; the
+    sum keeps numpy's reduction, the one scipy uses."""
+    a_max = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        a_max = np.maximum(a_max, a[..., j])
+    top = a == a_max[..., None]
+    m = top[..., 0].astype(float)
+    for j in range(1, a.shape[-1]):
+        m += top[..., j]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(top, -np.inf, a) - a_max[..., None]).sum(axis=-1)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        if not np.isfinite(out).all():
+            bad = ~np.isfinite(out)
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=-1))
+    return out
+
+
 def mixture_log_components(z: np.ndarray, weights, means, sigma: float) -> np.ndarray:
     """log(w_k * N(z_i; mu_k, sigma^2)) for every point i and component k, shape (n, K).
 
-    logsumexp over axis 1 gives the mixture log-density; zero weights give
-    -inf columns, and points too far from a mean for a finite square give -inf
-    entries.
+    Weights and means may be stacked (S, K), one row per parameter, giving
+    shape (S, n, K).  logsumexp_rows gives the mixture log-density; zero
+    weights give -inf columns, and points too far from a mean for a finite
+    square give -inf entries.
     """
     with np.errstate(divide="ignore", over="ignore"):
         log_w = np.log(np.asarray(weights, dtype=float))
-        q = ((z[:, None] - np.asarray(means, dtype=float)[None, :]) / sigma) ** 2
-    return (-0.5 * LOG_2PI - math.log(sigma)) - 0.5 * q + log_w[None, :]
+        q = ((z[:, None] - np.asarray(means, dtype=float)[..., None, :]) / sigma) ** 2
+    return (-0.5 * LOG_2PI - math.log(sigma)) - 0.5 * q + log_w[..., None, :]
 
 
 def point_log_densities(config: ModelConfig, theta: Theta, points: np.ndarray) -> np.ndarray:
@@ -371,7 +398,7 @@ def point_log_densities(config: ModelConfig, theta: Theta, points: np.ndarray) -
         z = np.atleast_1d(pts)
         if z.size == 0:
             return np.zeros(0)
-        return logsumexp(mixture_log_components(z, theta.weights, theta.means, sigma), axis=1)
+        return logsumexp_rows(mixture_log_components(z, theta.weights, theta.means, sigma))
     pts = pts.reshape(-1, pts.shape[-1]) if pts.ndim > 1 else pts[None, :]
     if pts.size == 0:
         return np.zeros(0)
@@ -502,10 +529,11 @@ def _tree_to_lines(node: Node, path: str, out: list[str]) -> None:
 
 
 def _tree_from_map(kv: dict[str, str], path: str) -> Node:
+    """The subtree at path, popping every key it reads from kv."""
     key = "tree." + path
     if key not in kv:
         raise UsageError(f"missing [model] key theta.{key}")
-    parts = kv[key].split()
+    parts = kv.pop(key).split()
     try:
         if parts[:1] == ["leaf"] and len(parts) == 2:
             return Leaf(float(parts[1]))
@@ -568,7 +596,11 @@ def _theta_from_map(kv: dict[str, str]) -> Theta:
         unknown = sorted(key for key in kv if not key.startswith("tree."))
         if unknown:
             raise UsageError(f"unknown ac theta keys {unknown}")
-        return ThetaAC(_tree_from_map(kv, "r"))
+        tree = _tree_from_map(kv, "r")
+        if kv:
+            raise UsageError("ac theta keys not reached from theta.tree.r: "
+                             + ", ".join(f"theta.{key}" for key in sorted(kv)))
+        return ThetaAC(tree)
     raise UsageError(f"unknown or missing theta kind {kind!r}")
 
 

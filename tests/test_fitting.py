@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from orderest import (
     Family, Leaf, ModelConfig, ParameterError, Sample, Split, ThetaAC, ThetaLM, ThetaVR,
-    UsageError, fit_ac, fit_lm_em, fit_vr, log_likelihood, profile, simulate,
+    FitResult, UsageError, embed, fit_ac, fit_lm_em, fit_vr, log_likelihood, profile,
+    simulate,
 )
-from orderest.fitting import _box_qp
+from orderest.fitting import EM_MAX_ITER, EM_TOL, _box_qp, _lm_start_list
 from orderest.models import derive_seed, rng_for, vr_basis_matrix
 from orderest import guillotine
 
@@ -18,7 +20,95 @@ AC = ModelConfig(Family.AC, sigma=1.0, ac_depth_max=2)
 TWO_CELL = ThetaAC(Split(1, 0.5, Leaf(0.0), Leaf(1.0)))
 
 
+def _em_run_one_start(z, config, w0, m0):
+    """EM from one start as fit_lm_em ran it before its starts were batched:
+    the same component density, scipy's logsumexp, stopping rule and M-step."""
+    w = np.asarray(w0, dtype=float).copy()
+    m = np.asarray(m0, dtype=float).copy()
+    n = z.shape[0]
+    if n == 0:
+        return w, m, 0.0, 0, True, (0.0,)
+    path = []
+    prev = -np.inf
+    converged = False
+    iters = 0
+
+    def eval_ll(w, m):
+        with np.errstate(divide="ignore", over="ignore"):
+            log_w = np.log(w)
+            q = ((z[:, None] - m[None, :]) / config.sigma) ** 2
+        comp = (-0.5 * math.log(2.0 * math.pi) - math.log(config.sigma)) - 0.5 * q + log_w[None, :]
+        per_obs = logsumexp(comp, axis=1)
+        ll = float(per_obs.sum())
+        if not math.isfinite(ll):
+            raise ParameterError(f"EM at K={w.size}: log-likelihood is {ll}")
+        return comp, per_obs, ll
+
+    for iters in range(1, EM_MAX_ITER + 1):
+        comp, per_obs, ll = eval_ll(w, m)
+        path.append(ll)
+        if ll - prev < EM_TOL:
+            converged = True
+            break
+        prev = ll
+        resp = np.exp(comp - per_obs[:, None])
+        nk = resp.sum(axis=0)
+        w = nk / n
+        with np.errstate(invalid="ignore"):
+            new_m = resp.T @ z / nk
+        m = np.where(nk > 0.0, np.clip(new_m, config.m_lo, config.m_hi), m)
+    if not converged:
+        path.append(eval_ll(w, m)[2])
+    return w, m, path[-1], iters, converged, tuple(path)
+
+
+def _fit_lm_em_one_start_at_a_time(sample, k, config, starts, extra_inits):
+    inits = _lm_start_list(sample.z, k, config, starts, sample.seed)
+    if extra_inits:
+        inits = [(np.asarray(w, dtype=float), np.asarray(m, dtype=float))
+                 for w, m in extra_inits] + inits
+    best = None
+    paths = []
+    for w0, m0 in inits:
+        w, m, ll, iters, conv, path = _em_run_one_start(sample.z, config, w0, m0)
+        paths.append(path)
+        if best is None or ll > best[2] + 1e-12:
+            best = (w, m, ll, iters, conv)
+    w, m, _, iters, conv = best
+    theta = ThetaLM(tuple(w / w.sum()), tuple(m))
+    return FitResult(theta=theta, loglik=log_likelihood(config, theta, sample),
+                     iterations=iters, converged=conv, starts_used=len(inits),
+                     loglik_paths=tuple(paths))
+
+
 class TestEmLm:
+    def test_batched_starts_equal_one_start_at_a_time(self):
+        # every field and every loglik path bit for bit: n down to 1, duplicate
+        # points on a 0.1 lattice, a tight box, profile-style zero-weight starts
+        rng = rng_for(71)
+        capped = 0
+        for i in range(210):
+            n = (1, 2, 5, 30, 100, 300)[i % 6]
+            sigma = (0.5, 1.0, 2.0)[i // 6 % 3]
+            box = (-0.25, 0.25) if i % 5 == 0 else (-2.0, 2.0)
+            config = ModelConfig(Family.LM, sigma=sigma, m_lo=box[0], m_hi=box[1])
+            k = int(rng.integers(1, 5))
+            z = rng.choice([-1.5, 0.0, 1.5], n) + sigma * rng.standard_normal(n)
+            if i % 4 == 1:
+                z = np.round(z, 1)
+            s = Sample(Family.LM, z, seed=int(rng.integers(1000)), n=n)
+            extra = None
+            if i % 2 and k > 1:
+                w = rng.dirichlet(np.ones(k - 1))
+                coarse = ThetaLM(tuple(w / w.sum()), tuple(rng.uniform(*box, k - 1)))
+                emb = embed(config, coarse, k)
+                extra = [(emb.weights, emb.means)]
+            starts = int(rng.integers(1, 5))
+            res = fit_lm_em(s, k, config, starts=starts, extra_inits=extra, track_paths=True)
+            assert res == _fit_lm_em_one_start_at_a_time(s, k, config, starts, extra), i
+            capped += sum(len(p) == EM_MAX_ITER + 1 for p in res.loglik_paths)
+        assert capped > 0  # some start must run into EM_MAX_ITER
+
     def test_k1_matches_closed_form(self):
         s = simulate(LM, ThetaLM((0.5, 0.5), (-2.0, 2.0)), 400, seed=1)
         res = fit_lm_em(s, 1, LM)
@@ -76,6 +166,11 @@ class TestEmLm:
             for path in res.loglik_paths:
                 steps = np.diff(np.asarray(path))
                 assert steps.size == 0 or steps.min() >= -1e-9
+
+    def test_extra_init_of_another_k_rejected(self):
+        s = simulate(LM, ThetaLM((1.0,), (0.0,)), 20, seed=0)
+        with pytest.raises(UsageError, match="K=2 weights"):
+            fit_lm_em(s, 2, LM, extra_inits=[((1.0,), (0.0,))])
 
     def test_k_cap(self):
         s = simulate(LM, ThetaLM((1.0,), (0.0,)), 20, seed=0)

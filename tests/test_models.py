@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from orderest import (
     Family, Leaf, ModelConfig, ParameterError, Sample, Split, ThetaAC, ThetaLM,
@@ -9,8 +11,8 @@ from orderest import (
     simulate, theta_dim, true_order,
 )
 from orderest.models import (
-    config_from_kv, config_to_kv, derive_seed, point_log_densities, rng_for,
-    sample_from_csv, sample_to_csv, theta_from_kv, theta_to_kv, vr_basis_matrix,
+    config_from_kv, config_to_kv, derive_seed, logsumexp_rows, point_log_densities,
+    rng_for, sample_from_csv, sample_to_csv, theta_from_kv, theta_to_kv, vr_basis_matrix,
 )
 
 LM = ModelConfig(Family.LM, sigma=1.0)
@@ -293,6 +295,13 @@ class TestSerialization:
         for theta in thetas:
             assert theta_from_kv(theta_to_kv(theta)) == theta
 
+    def test_unreached_tree_keys_rejected(self):
+        # a typo in a tree path must not silently drop the nodes under it
+        text = "kind = ac\ntree.r = leaf 0.5\ntree.r0 = leaf 9\ntree.rx = split 1 0.5\n"
+        with pytest.raises(UsageError, match=re.escape(
+                "not reached from theta.tree.r: theta.tree.r0, theta.tree.rx")):
+            theta_from_kv(text)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             config_from_kv("family = LM\nsheduel = bic\n")
@@ -320,3 +329,22 @@ class TestSerialization:
         assert sample_to_csv(s).splitlines()[0] == "idx,z"
         s = simulate(AC, TWO_CELL, 2, seed=0)
         assert sample_to_csv(s).splitlines()[0] == "idx,x1,x2,y"
+
+
+class TestLogsumexpRows:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_equals_scipy_logsumexp(self):
+        # scipy stays the oracle: -inf columns, all -inf rows, +inf entries,
+        # tied maxima and magnitudes up to 1e300, in 2-D and stacked 3-D arrays
+        rng = rng_for(91)
+        for trial in range(400):
+            shape = (int(rng.integers(1, 4)),) * (trial % 2) + (
+                int(rng.integers(1, 40)), int(rng.integers(1, 12)))
+            a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 300.0)
+            if trial % 3 == 0:  # few distinct values: ties at the max
+                a = rng.choice(np.unique(np.round(a, 0))[:3], shape)
+            a[..., rng.random(shape[-1]) < 0.2] = -np.inf
+            a[rng.random(shape[:-1]) < 0.2] = -np.inf
+            if trial % 7 == 0:
+                a[rng.random(shape) < 0.05] = np.inf
+            assert np.array_equal(logsumexp_rows(a), logsumexp(a, axis=-1)), trial
