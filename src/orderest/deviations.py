@@ -31,7 +31,8 @@ from .entropy import kl_divergence, project_entropy
 from .fitting import fit_k, profile
 from .models import (
     Family, ModelConfig, Sample, Theta, UsageError, derive_seed, embed,
-    log_likelihood, random_theta, rng_for, simulate, true_order,
+    log_likelihood, logsumexp_rows, mixture_log_components, random_theta, rng_for,
+    simulate, true_order,
 )
 
 ESTIMATORS = ("local", "global")
@@ -307,13 +308,22 @@ def peeling_assert(sample: Sample, config: ModelConfig, k1: int, k2: int,
     right = (fit2.loglik - ll1) / n
 
     rng = rng_for(seed, _PROBE_STREAM)
-    probes = [fit1.theta, fit2.theta]
-    probes += [random_theta(config, k2, rng) for _ in range(n_probes)]
+    cloud = [random_theta(config, k2, rng) for _ in range(n_probes)]
+    probes = [fit1.theta, fit2.theta] + cloud
+    lls = [log_likelihood(config, theta, sample) for theta in probes[:2]]
+    if config.family is Family.LM and cloud:
+        # every cloud probe has K2 components: one stacked (S, n, K2) pass,
+        # equal bit for bit to one log_likelihood call per probe
+        comps = mixture_log_components(sample.points, [t.weights for t in cloud],
+                                       [t.means for t in cloud], config.sigma)
+        lls += [float(v) for v in logsumexp_rows(comps).sum(axis=1)]
+    else:
+        lls += [log_likelihood(config, theta, sample) for theta in cloud]
     left_plain = 0.0
     left_scaled_root = 0.0
     skipped = 0
-    for theta in probes:
-        emp = (log_likelihood(config, theta, sample) - ll_star) / n
+    for theta, ll in zip(probes, lls):
+        emp = (ll - ll_star) / n
         h = _probe_divergence(config, theta_star, theta)
         dev = abs(emp + h)  # (P_n - P*)(ell_theta - ell*) since P* term is -H
         left_plain = max(left_plain, dev)

@@ -11,7 +11,10 @@ target-to-class) coincide for these families.
 Location mixtures have no closed form; their divergences are computed by
 composite Gauss-Legendre quadrature and their projections by multi-start
 local search over the class (reported as method="optimized", with no claim
-of global optimality).
+of global optimality).  Every quadrature uses one 8-point Gauss-Legendre
+rule.  A projection minimizes the divergence discretized on one fixed panel
+grid, on which the target's log-density is evaluated once, and L-BFGS-B
+gets the exact gradient of that discretized objective.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ _PROJECTION_STREAM = 301
 _PROJECTION_STARTS = 8  # L-BFGS starts of an LM projection
 _PROJECTION_SEED = 7  # seed of their jitter
 _QUAD_HALF_WIDTH = 12.0  # quadrature reaches this many sigmas past the outermost means
+# The projection grid reaches this many sigmas past the box and the target's
+# means, so it covers every candidate's mass; it has this many panels.
+_PROJECTION_HALF_WIDTH = 13.0
+_PROJECTION_PANELS = 600
+# The Gauss-Legendre rule of every panel, on [-1, 1].
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -67,14 +76,19 @@ def kl_regression(theta_a: Theta, theta_b: Theta, config: ModelConfig) -> Entrop
 # Mixture quadrature
 # ---------------------------------------------------------------------------
 
-def _mixture_kl_panels(theta_a: ThetaLM, theta_b: ThetaLM, config: ModelConfig,
-                       lo: float, hi: float, panels: int, nodes: int = 8) -> float:
-    pts, wts = np.polynomial.legendre.leggauss(nodes)
+def _panel_grid(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule on [lo, hi]."""
     edges = np.linspace(lo, hi, panels + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    z = (centers[:, None] + half * pts[None, :]).ravel()
-    w = (half * np.broadcast_to(wts, (panels, nodes))).ravel()
+    z = (centers[:, None] + half * _GL_NODES[None, :]).ravel()
+    w = (half * np.broadcast_to(_GL_WEIGHTS, (panels, _GL_NODES.size))).ravel()
+    return z, w
+
+
+def _mixture_kl_panels(theta_a: ThetaLM, theta_b: ThetaLM, config: ModelConfig,
+                       lo: float, hi: float, panels: int) -> float:
+    z, w = _panel_grid(lo, hi, panels)
     la = logsumexp_rows(mixture_log_components(z, theta_a.weights, theta_a.means,
                                                config.sigma))
     lb = logsumexp_rows(mixture_log_components(z, theta_b.weights, theta_b.means,
@@ -93,6 +107,12 @@ def kl_mixture_quadrature(theta_a: ThetaLM, theta_b: ThetaLM, config: ModelConfi
     """
     if config.family is not Family.LM:
         raise UsageError("kl_mixture_quadrature is for the LM family")
+    if panels < 1:
+        raise UsageError(f"panels must be >= 1, got {panels!r}")
+    if max_panels < panels:
+        raise UsageError(f"max_panels must be >= panels ({panels}), got {max_panels!r}")
+    if not (math.isfinite(target_tol) and target_tol > 0.0):
+        raise UsageError(f"target_tol must be finite and > 0, got {target_tol!r}")
     validate_theta(config, theta_a)
     validate_theta(config, theta_b)
     means = theta_a.means + theta_b.means
@@ -121,33 +141,69 @@ def kl_divergence(theta_a: Theta, theta_b: Theta, config: ModelConfig) -> Entrop
 # Projections onto the K-th class, in both directions
 # ---------------------------------------------------------------------------
 
+def _decode_lm(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and means of the search point x: K-1 free logits (the last
+    logit is 0), then K means."""
+    if k == 1:
+        return np.ones(1), x[:1]
+    logits = np.append(x[: k - 1], 0.0)
+    w = np.exp(logits - logits.max())
+    return w / w.sum(), x[k - 1:]
+
+
+def _projection_objective(config: ModelConfig, target: ThetaLM, k: int, reverse: bool,
+                          lo: float, hi: float, panels: int):
+    """x -> (divergence, gradient) on the composite rule over [lo, hi].
+
+    The value is the _mixture_kl_panels sum between target and decoded x:
+    H(target | theta) for reverse=False, H(theta | target) for reverse=True.
+    The gradient is exact for that sum.  With responsibilities
+    r_j = exp(comp_j - l_theta), l_theta has gradient r_j (z - mu_j) / sigma^2
+    in mean j and r_i - w_i in free logit i, and the divergence's gradient is
+    the quadrature sum of c(z) * grad l_theta(z), with c = -w p_t forward and
+    c = w p_theta (l_theta - l_t + 1) reverse.
+    """
+    sigma = config.sigma
+    z, w = _panel_grid(lo, hi, panels)
+    l_t = logsumexp_rows(mixture_log_components(z, target.weights, target.means, sigma))
+    wp_t = w * np.exp(l_t)
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        weights, means = _decode_lm(x, k)
+        comp = mixture_log_components(z, weights, means, sigma)
+        l_th = logsumexp_rows(comp)
+        if reverse:
+            wp_th = w * np.exp(l_th)
+            value = float(np.sum(wp_th * (l_th - l_t)))
+            c = wp_th * (l_th - l_t + 1.0)
+        else:
+            value = float(np.sum(wp_t * (l_t - l_th)))
+            c = -wp_t
+        cr = c[:, None] * np.exp(comp - l_th[:, None])
+        # einsum, not a BLAS product, whose summation order can depend on its
+        # thread count
+        cr_sum = np.einsum("ij->j", cr)
+        grad_means = (np.einsum("i,ij->j", z, cr) - cr_sum * means) / sigma ** 2
+        grad_logits = cr_sum[: k - 1] - weights[: k - 1] * c.sum()
+        return value, np.concatenate([grad_logits, grad_means])
+
+    return objective
+
+
 def _project_lm(config: ModelConfig, target: ThetaLM, k: int,
                 reverse: bool) -> tuple[EntropyValue, ThetaLM]:
     """Multi-start local search for inf over Theta_K of the mixture divergence.
 
     reverse=False minimizes H(target | theta); reverse=True minimizes
-    H(theta | target).  Fixed-panel quadrature keeps the objective smooth for
-    the finite-difference gradients; the reported value is re-evaluated with
-    the adaptive quadrature at the optimum.
+    H(theta | target).  L-BFGS-B minimizes the divergence discretized on one
+    fixed panel grid, wide enough for any candidate in the box, with the exact
+    gradient of that sum (_projection_objective); the reported value is
+    re-evaluated with the adaptive quadrature at the optimum.
     """
-    # fixed node grid wide enough for any candidate in the box: the objective
-    # stays smooth under the optimizer's finite differences
-    lo_z = min(min(target.means), config.m_lo) - 13.0 * config.sigma
-    hi_z = max(max(target.means), config.m_hi) + 13.0 * config.sigma
-    opt_panels = 600
-
-    def decode(x: np.ndarray) -> ThetaLM:
-        if k == 1:
-            return ThetaLM((1.0,), (float(x[0]),))
-        logits = np.append(x[: k - 1], 0.0)
-        w = np.exp(logits - logits.max())
-        w = w / w.sum()
-        return ThetaLM(tuple(w), tuple(float(v) for v in x[k - 1:]))
-
-    def objective(x: np.ndarray) -> float:
-        th = decode(x)
-        a, b = (th, target) if reverse else (target, th)
-        return _mixture_kl_panels(a, b, config, lo_z, hi_z, opt_panels)
+    lo_z = min(min(target.means), config.m_lo) - _PROJECTION_HALF_WIDTH * config.sigma
+    hi_z = max(max(target.means), config.m_hi) + _PROJECTION_HALF_WIDTH * config.sigma
+    objective = _projection_objective(config, target, k, reverse, lo_z, hi_z,
+                                      _PROJECTION_PANELS)
 
     spread = np.quantile(np.asarray(target.means), (np.arange(k) + 0.5) / k) if k > 1 \
         else np.asarray([float(np.dot(target.weights, target.means))])
@@ -160,10 +216,11 @@ def _project_lm(config: ModelConfig, target: ThetaLM, k: int,
         means0 = spread if s == 0 else np.clip(
             spread + 0.5 * scale * rng.standard_normal(k), config.m_lo, config.m_hi)
         x0 = np.concatenate([np.zeros(k - 1), means0])
-        res = minimize(objective, x0, method="L-BFGS-B", bounds=bounds)
+        res = minimize(objective, x0, method="L-BFGS-B", jac=True, bounds=bounds)
         if res.fun < best_val:
             best_val, best_x = float(res.fun), res.x
-    theta_hat = decode(best_x)
+    weights, means = _decode_lm(best_x, k)
+    theta_hat = ThetaLM(tuple(weights), tuple(means))
     a, b = (theta_hat, target) if reverse else (target, theta_hat)
     acc = kl_mixture_quadrature(a, b, config)
     return EntropyValue(max(acc.value, 0.0), "optimized", max(acc.tol, 1e-6)), theta_hat

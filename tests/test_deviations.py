@@ -8,8 +8,12 @@ from orderest import (
     fit_moderate_rate, is_underestimation_prob, mc_error_probs, order_trials,
     parse_schedule, peeling_assert, simulate, slln_trace, wilson_interval,
 )
+from orderest import deviations
 from orderest.deviations import tally_orders
-from orderest.models import Leaf, Split, ThetaAC, derive_seed
+from orderest.fitting import fit_k
+from orderest.models import (
+    Leaf, Split, ThetaAC, derive_seed, embed, log_likelihood, random_theta, rng_for,
+)
 
 LM = ModelConfig(Family.LM, sigma=1.0)
 VR = ModelConfig(Family.VR, sigma=1.0)
@@ -182,6 +186,36 @@ class TestExponentFits:
         assert fit_n.r2 == 1.0 and fit_m.r2 < fit_n.r2
 
 
+def per_probe_peeling(sample, config, k1, k2, theta_star, n_probes, tol, seed):
+    """peeling_assert for K* <= K1 < K2 on LM, one log_likelihood call per probe."""
+    n = sample.n
+    emb1 = embed(config, theta_star, k1)
+    fit1 = fit_k(sample, k1, config, extra_inits=[(emb1.weights, emb1.means)])
+    emb2 = embed(config, fit1.theta, k2)
+    fit2 = fit_k(sample, k2, config, extra_inits=[(emb2.weights, emb2.means)])
+    ll_star = log_likelihood(config, theta_star, sample)
+    right = (fit2.loglik - max(fit1.loglik, ll_star)) / n
+    rng = rng_for(seed, deviations._PROBE_STREAM)
+    probes = [fit1.theta, fit2.theta]
+    probes += [random_theta(config, k2, rng) for _ in range(n_probes)]
+    left_plain = left_scaled_root = 0.0
+    skipped = 0
+    for theta in probes:
+        emp = (log_likelihood(config, theta, sample) - ll_star) / n
+        h = deviations._probe_divergence(config, theta_star, theta)
+        dev = abs(emp + h)
+        left_plain = max(left_plain, dev)
+        if h > 1e-15:
+            left_scaled_root = max(left_scaled_root, dev / math.sqrt(h))
+        else:
+            skipped += 1
+    left_scaled = left_scaled_root ** 2
+    return deviations.PeelingReport(
+        right_side=right, left_plain=left_plain, left_scaled=left_scaled,
+        ok_plain=right <= left_plain + tol, ok_scaled=right <= left_scaled + tol,
+        probes_used=len(probes) - skipped, probes_skipped=skipped)
+
+
 class TestPeeling:
     def test_equal_budgets_trivial(self):
         s = simulate(VR, ThetaVR((1.0, 0.5)), 60, seed=1)
@@ -216,6 +250,14 @@ class TestPeeling:
             rep = peeling_assert(s, config, k_star, k_star + 1, theta,
                                  n_probes=60, tol=1e-9, seed=42)
             assert rep.ok_plain and rep.ok_scaled, (config.family, i)
+
+    def test_lm_probe_cloud_in_one_pass(self):
+        theta = ThetaLM((0.5, 0.5), (-2.0, 2.0))
+        for i, n in enumerate((1, 2, 7, 40, 90, 120)):
+            s = simulate(LM, theta, n, derive_seed(4321, i))
+            for n_probes in (1, 200):
+                got = peeling_assert(s, LM, 2, 3, theta, n_probes=n_probes, seed=i)
+                assert got == per_probe_peeling(s, LM, 2, 3, theta, n_probes, 1e-9, i)
 
 
 class TestSlln:

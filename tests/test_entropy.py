@@ -8,8 +8,13 @@ from orderest import (
     UsageError, kl_mixture_quadrature, kl_regression, project_entropy,
     pythagorean_residual, reversed_projection_check_vr, stein_bound,
 )
-from orderest.entropy import kl_divergence
-from orderest.models import rng_for, vr_basis_matrix
+from scipy.optimize import minimize
+
+from orderest import entropy
+from orderest.entropy import EntropyValue, kl_divergence
+from orderest.models import (
+    logsumexp_rows, mixture_log_components, random_theta, rng_for, vr_basis_matrix,
+)
 
 LM = ModelConfig(Family.LM, sigma=1.0)
 VR = ModelConfig(Family.VR, sigma=1.0)
@@ -40,6 +45,77 @@ def quad_2d_vr_kl(a: ThetaVR, b: ThetaVR, sigma=1.0, nx=240, ny=400, half_width=
         log_ratio = 0.5 * ((rb / sigma) ** 2 - (ra / sigma) ** 2)
         total += wxs[x_i] * float(np.sum(wys * pa * log_ratio))
     return total
+
+
+def per_call_leggauss_kl(theta_a, theta_b, config, lo, hi, panels, nodes=8):
+    """The composite-panel divergence with its own Gauss-Legendre rule per call."""
+    pts, wts = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(lo, hi, panels + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    z = (centers[:, None] + half * pts[None, :]).ravel()
+    w = (half * np.broadcast_to(wts, (panels, nodes))).ravel()
+    la = logsumexp_rows(mixture_log_components(z, theta_a.weights, theta_a.means,
+                                               config.sigma))
+    lb = logsumexp_rows(mixture_log_components(z, theta_b.weights, theta_b.means,
+                                               config.sigma))
+    return float(np.sum(w * np.exp(la) * (la - lb)))
+
+
+def per_call_leggauss_quadrature(theta_a, theta_b, config, panels=400, target_tol=1e-8,
+                                 max_panels=25600):
+    means = theta_a.means + theta_b.means
+    lo = min(means) - 12.0 * config.sigma
+    hi = max(means) + 12.0 * config.sigma
+    value = per_call_leggauss_kl(theta_a, theta_b, config, lo, hi, panels)
+    achieved = math.inf
+    while panels < max_panels:
+        panels *= 2
+        refined = per_call_leggauss_kl(theta_a, theta_b, config, lo, hi, panels)
+        achieved = abs(refined - value)
+        value = refined
+        if achieved < target_tol:
+            break
+    return EntropyValue(max(value, 0.0), "quadrature", achieved)
+
+
+def finite_difference_project_lm(config, target, k, reverse):
+    """The LM projection with the discretized divergence recomputed in full
+    at every call and 2-point finite-difference gradients."""
+    lo_z = min(min(target.means), config.m_lo) - 13.0 * config.sigma
+    hi_z = max(max(target.means), config.m_hi) + 13.0 * config.sigma
+
+    def decode(x):
+        if k == 1:
+            return ThetaLM((1.0,), (float(x[0]),))
+        logits = np.append(x[: k - 1], 0.0)
+        w = np.exp(logits - logits.max())
+        w = w / w.sum()
+        return ThetaLM(tuple(w), tuple(float(v) for v in x[k - 1:]))
+
+    def objective(x):
+        th = decode(x)
+        a, b = (th, target) if reverse else (target, th)
+        return per_call_leggauss_kl(a, b, config, lo_z, hi_z, 600)
+
+    spread = np.quantile(np.asarray(target.means), (np.arange(k) + 0.5) / k) if k > 1 \
+        else np.asarray([float(np.dot(target.weights, target.means))])
+    spread = np.clip(spread, config.m_lo, config.m_hi)
+    rng = rng_for(7, 301, k)
+    scale = max(config.sigma, (max(target.means) - min(target.means)) / max(k, 1))
+    bounds = ([(-30.0, 30.0)] * (k - 1)) + [(config.m_lo, config.m_hi)] * k
+    best_val, best_x = math.inf, None
+    for s in range(8):
+        means0 = spread if s == 0 else np.clip(
+            spread + 0.5 * scale * rng.standard_normal(k), config.m_lo, config.m_hi)
+        x0 = np.concatenate([np.zeros(k - 1), means0])
+        res = minimize(objective, x0, method="L-BFGS-B", bounds=bounds)
+        if res.fun < best_val:
+            best_val, best_x = float(res.fun), res.x
+    theta_hat = decode(best_x)
+    a, b = (theta_hat, target) if reverse else (target, theta_hat)
+    acc = per_call_leggauss_quadrature(a, b, config)
+    return EntropyValue(max(acc.value, 0.0), "optimized", max(acc.tol, 1e-6)), theta_hat
 
 
 class TestKlRegression:
@@ -103,6 +179,29 @@ class TestMixtureQuadrature:
         b = ThetaLM((1.0,), (0.0,))
         out = kl_mixture_quadrature(a, b, LM, panels=2, target_tol=1e-30, max_panels=4)
         assert out.tol > 1e-30  # cap hit, achieved tolerance reported honestly
+
+    @pytest.mark.parametrize("kwargs", [
+        {"panels": 0}, {"panels": -3}, {"panels": 800, "max_panels": 400},
+        {"target_tol": math.nan}, {"target_tol": math.inf}, {"target_tol": 0.0},
+        {"target_tol": -1e-8},
+    ])
+    def test_bad_quadrature_input_rejected(self, kwargs):
+        a = ThetaLM((0.5, 0.5), (-1.0, 1.0))
+        b = ThetaLM((1.0,), (0.0,))
+        with pytest.raises(UsageError):
+            kl_mixture_quadrature(a, b, LM, **kwargs)
+
+    def test_equals_per_call_leggauss_formula(self):
+        rng = rng_for(4242)
+        for _ in range(6):
+            a = random_theta(LM, int(rng.integers(1, 4)), rng)
+            b = random_theta(LM, int(rng.integers(1, 4)), rng)
+            assert kl_mixture_quadrature(a, b, LM) == per_call_leggauss_quadrature(a, b, LM)
+        a = ThetaLM((0.5, 0.5), (-2.0, 2.0))
+        b = ThetaLM((1.0,), (0.0,))
+        assert (kl_mixture_quadrature(a, b, LM, panels=2, target_tol=1e-30, max_panels=4)
+                == per_call_leggauss_quadrature(a, b, LM, panels=2, target_tol=1e-30,
+                                                max_panels=4))
 
 
 class TestProjections:
@@ -194,6 +293,61 @@ class TestProjections:
         assert argmin == ThetaVR((1.0,))
         out, argmin = stein_bound(AC, TWO_CELL, 1, return_argmin=True)
         assert argmin.k == 1 and argmin.tree.mark == pytest.approx(0.5)
+
+
+class TestLmProjectionSearch:
+    @staticmethod
+    def central_differences(objective, x, h=1e-6):
+        grad = np.empty_like(x)
+        for i in range(x.size):
+            step = np.zeros_like(x)
+            step[i] = h
+            grad[i] = (objective(x + step)[0] - objective(x - step)[0]) / (2.0 * h)
+        return grad
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_gradient_matches_central_differences(self, k, reverse):
+        rng = rng_for(5151, k, int(reverse))
+        target = random_theta(LM, 3, rng)
+        # the projection grid, and a grid that cuts off part of every
+        # candidate's mass, where sum(w * p_theta) depends on theta
+        grids = [(min(min(target.means), LM.m_lo) - entropy._PROJECTION_HALF_WIDTH,
+                  max(max(target.means), LM.m_hi) + entropy._PROJECTION_HALF_WIDTH,
+                  entropy._PROJECTION_PANELS),
+                 (-2.5, 3.0, 40)]
+        points = [np.concatenate([rng.uniform(-5.0, 5.0, k - 1),
+                                  rng.uniform(LM.m_lo, LM.m_hi, k)]) for _ in range(4)]
+        points += [np.concatenate([np.full(k - 1, sign * 30.0), np.full(k, edge)])
+                   for sign in (-1.0, 1.0) for edge in (LM.m_lo, LM.m_hi)]
+        points += [np.concatenate([np.where(np.arange(k - 1) % 2, 30.0, -30.0),
+                                   np.linspace(LM.m_lo, LM.m_hi, k)])]
+        for lo, hi, panels in grids:
+            objective = entropy._projection_objective(LM, target, k, reverse, lo, hi, panels)
+            for x in points:
+                value, grad = objective(x)
+                weights, means = entropy._decode_lm(x, k)
+                a, b = ThetaLM(tuple(weights), tuple(means)), target
+                if not reverse:
+                    a, b = b, a
+                assert value == entropy._mixture_kl_panels(a, b, LM, lo, hi, panels)
+                np.testing.assert_allclose(grad, self.central_differences(objective, x),
+                                           rtol=1e-6, atol=1e-8)
+
+    def test_matches_finite_difference_search(self):
+        rng = rng_for(6262)
+        worst = 0.0
+        for _ in range(12):
+            target = random_theta(LM, int(rng.integers(2, 4)), rng)
+            for k in range(1, target.k):
+                for direction in (project_entropy, stein_bound):
+                    got, theta = direction(LM, target, k, return_argmin=True)
+                    want, _ = finite_difference_project_lm(
+                        LM, target, k, reverse=direction is stein_bound)
+                    assert (got.method, got.tol) == (want.method, want.tol)
+                    assert theta.k == k
+                    worst = max(worst, abs(got.value - want.value))
+        assert worst <= 1e-9
 
 
 class TestPythagorean:
