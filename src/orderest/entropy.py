@@ -101,9 +101,9 @@ def kl_mixture_quadrature(theta_a: ThetaLM, theta_b: ThetaLM, config: ModelConfi
                           max_panels: int = 25600) -> EntropyValue:
     """H(P_a | P_b) for location mixtures by composite Gauss-Legendre panels.
 
-    Panels double until two successive estimates differ by less than
-    target_tol; past max_panels the best value is returned with the achieved
-    difference as its (large) tol.
+    Panels double, the last step capped at max_panels, until two successive
+    estimates differ by less than target_tol; at max_panels the finest value
+    is returned with the achieved difference as its (large) tol.
     """
     if config.family is not Family.LM:
         raise UsageError("kl_mixture_quadrature is for the LM family")
@@ -121,7 +121,7 @@ def kl_mixture_quadrature(theta_a: ThetaLM, theta_b: ThetaLM, config: ModelConfi
     value = _mixture_kl_panels(theta_a, theta_b, config, lo, hi, panels)
     achieved = math.inf
     while panels < max_panels:
-        panels *= 2
+        panels = min(2 * panels, max_panels)
         refined = _mixture_kl_panels(theta_a, theta_b, config, lo, hi, panels)
         achieved = abs(refined - value)
         value = refined

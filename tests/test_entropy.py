@@ -180,6 +180,27 @@ class TestMixtureQuadrature:
         out = kl_mixture_quadrature(a, b, LM, panels=2, target_tol=1e-30, max_panels=4)
         assert out.tol > 1e-30  # cap hit, achieved tolerance reported honestly
 
+    @pytest.mark.parametrize("panels, max_panels, expected", [
+        (400, 799, [400, 799]),
+        (3, 10, [3, 6, 10]),
+        (5, 5, [5]),
+        (2, 16, [2, 4, 8, 16]),
+    ])
+    def test_panels_never_exceed_max_panels(self, monkeypatch, panels, max_panels, expected):
+        seen = []
+        real = entropy._mixture_kl_panels
+
+        def counting(theta_a, theta_b, config, lo, hi, panels):
+            seen.append(panels)
+            return real(theta_a, theta_b, config, lo, hi, panels)
+
+        monkeypatch.setattr(entropy, "_mixture_kl_panels", counting)
+        a = ThetaLM((0.5, 0.5), (-2.0, 2.0))
+        b = ThetaLM((1.0,), (0.0,))
+        kl_mixture_quadrature(a, b, LM, panels=panels, target_tol=1e-300,
+                              max_panels=max_panels)
+        assert seen == expected
+
     @pytest.mark.parametrize("kwargs", [
         {"panels": 0}, {"panels": -3}, {"panels": 800, "max_panels": 400},
         {"target_tol": math.nan}, {"target_tol": math.inf}, {"target_tol": 0.0},

@@ -380,6 +380,200 @@ class TestFitAc:
                         sse, abs=1e-12), (trial, cap, k)
 
 
+def _grid_dp_per_cut_recursion(edges, atoms, depth_cap, m_lo, m_hi, tol):
+    """guillotine._grid_dp as it was before children were priced in one pass:
+    at a budget >= 3, one memoised call per cut and child budget, each child
+    scanned on its own.  A function k -> (tree, clipped SSE).
+
+    edges = ((lo1, hi1), (lo2, hi2)) are the extents of the grid lines per
+    axis; atoms[:, i, j] = (weight, sum, sum of squares) of grid point (i, j),
+    and every line carries positive weight.  A candidate replaces the
+    incumbent only when its SSE is lower by more than tol.  Calls share one
+    memo, so asking for K = 1, 2, ... in turn costs little more than the last.
+    """
+    pre = np.pad(atoms.cumsum(axis=1).cumsum(axis=2), ((0, 0), (1, 0), (1, 0)))
+    views = (pre, pre.transpose(0, 2, 1))  # lines of the cut axis first
+    memo: dict[tuple, tuple[float, guillotine.Node]] = {}
+
+    def leaf(tot):
+        w, s, q = tot
+        m = np.minimum(np.maximum(s / w, m_lo), m_hi)
+        return np.maximum(q - 2.0 * m * s + m * m * w, 0.0), m
+
+    def scan(box, axis):
+        """Every cut across `axis`: its position, and the clipped SSE and mark
+        of its low child, of its high child and (last) of the whole box."""
+        p = views[axis - 1]
+        a0, a1, b0, b1 = box if axis == 1 else box[2:] + box[:2]
+        cum = p[:, a0:a1 + 1, b1] - p[:, a0:a1 + 1, b0]
+        cum = cum[:, 1:] - cum[:, :1]  # totals of lines a0..a
+        # the nonempty lines; the first line of a shrunk box always is one
+        lines = a0 + np.flatnonzero(np.concatenate(([True], cum[0, 1:] > cum[0, :-1])))
+        low = cum[:, lines[:-1] - a0]
+        sse, mark = leaf(np.concatenate([low, cum[:, -1:] - low, cum[:, -1:]], axis=1))
+        lo, hi = edges[axis - 1]
+        return 0.5 * (hi[lines[:-1]] + lo[lines[1:]]), sse, mark, lines
+
+    def kids(box, axis, lines):
+        """Shrunk boxes of the low and high child of every cut across `axis`."""
+        p = views[axis - 1][0]
+        a0, a1, b0, b1 = box if axis == 1 else box[2:] + box[:2]
+        out = []
+        for t0, t1 in ((a0, lines[:-1] + 1), (lines[1:], a1)):
+            wt = ((p[t1, b0 + 1:b1 + 1] - p[t1, b0:b0 + 1])
+                  - (p[t0, b0 + 1:b1 + 1] - p[t0, b0:b0 + 1]))  # weight of lines b0..b
+            first = b0 + (wt <= 0.0).sum(axis=1)
+            last = b0 + 1 + (wt < wt[:, -1:]).sum(axis=1)
+            cols = np.broadcast_arrays(t0, t1, first, last)
+            cols = cols if axis == 1 else cols[2:] + cols[:2]
+            out.append(list(zip(*(c.tolist() for c in cols))))
+        return out
+
+    def best(box, k, depth):
+        # depth d holds at most 2**d leaves, and k leaves need depth k - 1 at most
+        k = min(k, 2 ** depth)
+        depth = min(depth, k - 1)
+        key = (box, k, depth)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        scans = [scan(box, axis) for axis in (1, 2)]
+        val, node = float(scans[0][1][-1]), Leaf(float(scans[0][2][-1]))
+        scans = [(axis, *sc) for axis, sc in zip((1, 2), scans) if k > 1 and sc[0].size]
+        for axis, cuts, sse, mark, _ in scans:
+            m = cuts.size  # both children leaves: every cut position at once
+            costs = sse[:m] + sse[m:2 * m]
+            j = int(np.argmin(costs))
+            if costs[j] < val - tol:
+                val = float(costs[j])
+                node = Split(axis, float(cuts[j]), Leaf(float(mark[j])), Leaf(float(mark[m + j])))
+        for axis, cuts, sse, mark, lines in scans if k > 2 else ():
+            lows, highs = kids(box, axis, lines)
+            m, sse, mark = cuts.size, sse.tolist(), mark.tolist()
+            for j, cut in enumerate(cuts.tolist()):
+                for k_lo in range(1, k):
+                    v_lo, t_lo = (sse[j], None) if k_lo == 1 else best(lows[j], k_lo, depth - 1)
+                    v_hi, t_hi = ((sse[m + j], None) if k_lo == k - 1
+                                  else best(highs[j], k - k_lo, depth - 1))
+                    if v_lo + v_hi < val - tol:
+                        val = v_lo + v_hi
+                        node = Split(axis, cut, t_lo or Leaf(mark[j]), t_hi or Leaf(mark[m + j]))
+        memo[key] = (val, node)
+        return val, node
+
+    root = (0, atoms.shape[1], 0, atoms.shape[2])
+    return lambda k_leaves: best(root, k_leaves, depth_cap)[::-1]
+
+
+def _same_tree(a, b):
+    """Equal axes, cuts and shape; marks within 1e-12."""
+    if isinstance(a, Leaf) or isinstance(b, Leaf):
+        return isinstance(a, Leaf) and isinstance(b, Leaf) and abs(a.mark - b.mark) <= 1e-12
+    return ((a.axis, a.cut) == (b.axis, b.cut) and _same_tree(a.low, b.low)
+            and _same_tree(a.high, b.high))
+
+
+def _data_sse(tree, x, y):
+    return float(((y - guillotine.eval_tree(tree, x)) ** 2).sum())
+
+
+def _ac_dataset(rng, i, n):
+    """Data for the i-th comparison: every third dataset on a 0.1 lattice, so
+    that coordinates tie, and y a two-cell step plus noise."""
+    x = rng.uniform(0.0, 1.0, (n, 2))
+    if i % 3 == 0:
+        x = np.round(x, 1)
+    return x, (x[:, 0] > 0.5) + rng.standard_normal(n)
+
+
+class TestTreeDpOracle:
+    """The tree DP against the per-cut recursion it replaced.  Log-likelihoods
+    and SSEs agree within 1e-12; trees agree too, unless the two trees price
+    within tol of each other (a near-tie that rounding may settle either way)."""
+
+    def test_empirical_matches_per_cut_recursion(self):
+        rng = rng_for(79)
+        fits = near_ties = 0
+        for i in range(210):
+            cap = 1 + i % 3
+            n = int(rng.integers(1, 21 if cap == 3 else 151))  # the depth-3 oracle is slow
+            x, y = _ac_dataset(rng, i, n)
+            m_lo, m_hi = (-0.25, 0.25) if i % 4 == 0 else (-2.0, 2.0)  # tight: marks clip
+            sigma = (0.5, 1.0)[i % 2]
+            tol = 1e-12 * 2.0 * sigma ** 2
+            oracle = _grid_dp_per_cut_recursion(*guillotine._data_grid(x, y), cap, m_lo, m_hi,
+                                                tol)
+            const = n * (-0.5 * math.log(2.0 * math.pi) - math.log(sigma))
+            for k in range(1, min(5, 2 ** cap) + 1):
+                tree, ll = guillotine.fit_tree_empirical(x, y, k, cap, sigma, m_lo, m_hi)
+                want, sse = oracle(k)
+                assert ll == pytest.approx(const - sse / (2.0 * sigma ** 2), abs=1e-12), (i, k)
+                assert guillotine.leaf_count(tree) <= k and guillotine.tree_depth(tree) <= cap
+                fits += 1
+                if not _same_tree(tree, want):
+                    near_ties += 1
+                    assert abs(_data_sse(tree, x, y) - _data_sse(want, x, y)) <= tol + 1e-12, \
+                        (i, k, tree, want)
+        assert near_ties <= fits // 50, (near_ties, fits)
+
+    def test_population_matches_per_cut_recursion(self):
+        rng = rng_for(80)
+        fits = near_ties = 0
+        for i in range(60):
+            depth = 1 + i % 3
+            target = guillotine.random_tree(rng, int(rng.integers(1, 2 ** depth + 1)), depth,
+                                            -3.0, 3.0)
+            m_lo, m_hi = (-0.25, 0.25) if i % 4 == 0 else (-2.0, 2.0)
+            for cap in (1, 2, 3):
+                oracle = _grid_dp_per_cut_recursion(*guillotine._target_grid(target), cap,
+                                                    m_lo, m_hi, 1e-15)
+                for k in range(1, min(5, 2 ** cap) + 1):
+                    tree, sse = guillotine.fit_tree_population(target, k, cap, m_lo, m_hi)
+                    want, want_sse = oracle(k)
+                    assert sse == pytest.approx(want_sse, abs=1e-12), (i, cap, k)
+                    fits += 1
+                    if not _same_tree(tree, want):
+                        near_ties += 1
+                        assert abs(guillotine.overlay_sq_integral(target, tree)
+                                   - guillotine.overlay_sq_integral(target, want)) <= 1e-12, \
+                            (i, cap, k, tree, want)
+        assert near_ties <= fits // 50, (near_ties, fits)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", ["n=1", "n=2", "one point", "one x1 line", "duplicates",
+                                      "constant y"])
+    def test_adversarial_ac_fits(self, case):
+        rng = rng_for(81)
+        x = rng.uniform(0.0, 1.0, (12, 2))
+        y = rng.standard_normal(12)
+        if case == "n=1":
+            x, y = x[:1], y[:1]
+        elif case == "n=2":
+            x, y = x[:2], y[:2]
+        elif case == "one point":
+            x = np.tile(x[:1], (12, 1))
+        elif case == "one x1 line":
+            x[:, 0] = 0.3
+        elif case == "duplicates":
+            x, y = np.concatenate([x[:6], x[:6]]), np.concatenate([y[:6], y[:6] + 1.0])
+        else:
+            y = np.full(12, 0.7)
+        sample = Sample(Family.AC, np.column_stack([x, y]), seed=0, n=y.size)
+        for cap in (1, 2, 3):
+            config = ModelConfig(Family.AC, sigma=1.0, ac_depth_max=cap)
+            oracle = _grid_dp_per_cut_recursion(*guillotine._data_grid(x, y), cap,
+                                                config.m_lo, config.m_hi, 2e-12)
+            for k in range(1, min(4, 2 ** cap) + 1):
+                res = fit_ac(sample, k, config)
+                tree = res.theta.tree
+                guillotine.validate_tree(tree)
+                assert guillotine.leaf_count(tree) <= k and guillotine.tree_depth(tree) <= cap
+                sse = oracle(k)[1]
+                assert math.isfinite(res.loglik)
+                assert res.loglik == pytest.approx(
+                    y.size * -0.5 * math.log(2.0 * math.pi) - 0.5 * sse, abs=1e-12), (cap, k)
+
+
 def _coordinate_descent_logliks(sample, config, k_top):
     """The VR profile log-likelihoods by warm-started coordinate descent on each
     leading block of the Gram matrix, to tolerance 1e-12, dips repaired."""
