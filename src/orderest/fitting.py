@@ -1,15 +1,21 @@
 """Maximum-likelihood fitting per family and the per-K profile curve.
 
-- LM: multi-start EM with known sigma, each start stopped when its
-  log-likelihood gains less than EM_TOL or after EM_MAX_ITER steps.  E-step
-  computes posterior responsibilities from models.mixture_log_components and
-  models.logsumexp_rows; M-step sets weights to responsibility averages and
-  means to responsibility-weighted means clipped to [m_lo, m_hi] (the
-  constrained argmax, so the usual EM ascent property survives the clipping).
-  _em_run runs all starts of one fit as one (S, n, K) batch and freezes each
-  start at the iteration where it converges, so every start follows the path
-  it would follow alone; the best start wins, ties within 1e-12 going to the
-  earliest.
+- LM: multi-start EM with known sigma, accelerated by SQUAREM (Varadhan &
+  Roland 2008, Scand. J. Statist. 35).  An E-pass computes the component
+  log-densities (models.mixture_log_components), their log-sum-exp
+  (models.logsumexp_rows) and so the log-likelihood; the EM map sets weights
+  to responsibility averages and means to responsibility-weighted means
+  clipped to [m_lo, m_hi] (the constrained argmax, so the EM ascent property
+  survives the clipping).  Each round takes two EM maps theta1, theta2 from
+  the current iterate theta0 and extrapolates along them (the S3 step,
+  _squarem_point); the extrapolated point is accepted when its
+  log-likelihood is at least theta1's, and otherwise the round falls back to
+  theta2, so the accepted log-likelihoods never decrease.  A start stops when
+  theta1 (or a fall-back) gains less than EM_TOL over theta0, or after
+  EM_MAX_ITER E-passes; FitResult.iterations counts E-passes.  _em_run runs
+  all starts of one fit as one (S, n, K) batch and freezes each start where
+  it stops, so every start follows the path it would follow alone; the best
+  start wins, ties within 1e-12 going to the earliest.
 - VR: maximizing the likelihood is a box-constrained least-squares problem.
   _vr_optima solves the normal equations of every requested leading block of
   one Gram matrix in a single batch; a solution inside the box is the exact
@@ -27,7 +33,6 @@ in K.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,8 +45,8 @@ from .models import (
 )
 
 K_HARD_CAP = 64  # mixture sizes past this are a usage error, not a model
-EM_TOL = 1e-8  # stop EM once a step gains less log-likelihood than this
-EM_MAX_ITER = 500
+EM_TOL = 1e-8  # stop EM once an EM step gains less log-likelihood than this
+EM_MAX_ITER = 500  # E-passes (log-likelihood evaluations) per EM start
 VR_TOL = 1e-10  # coordinate descent stops when no coefficient moves this far
 _VR_MAX_SWEEPS = 10000
 
@@ -98,57 +103,153 @@ def fits_csv(fits) -> str:
 # LM: EM
 # ---------------------------------------------------------------------------
 
+def _em_map(z: np.ndarray, comp: np.ndarray, per_obs: np.ndarray, theta: np.ndarray,
+            lo: float, hi: float) -> np.ndarray:
+    """The EM map F from the E-pass (comp, per_obs) of the (S, 2K) parameters
+    theta, weights then means: weights become responsibility averages and
+    means responsibility-weighted means clipped to [lo, hi].  A component with
+    no responsibility keeps weight 0 and its mean."""
+    k = comp.shape[2]
+    resp = np.exp(comp - per_obs[:, :, None])
+    nk = resp.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        new_m = resp.transpose(0, 2, 1) @ z / nk
+    out = np.empty_like(theta)
+    out[:, :k] = nk / z.shape[0]
+    out[:, k:] = np.where(nk > 0.0, np.clip(new_m, lo, hi), theta[:, k:])
+    return out
+
+
+def _squarem_point(t0, t1, t2, step_max, lo: float, hi: float):
+    """SQUAREM's S3 extrapolation from theta0 and its two EM maps
+    theta1 = F(theta0), theta2 = F(theta1), given as (S, 2K) rows of weights
+    then means.
+
+    With r = theta1 - theta0 and v = theta2 - theta1 - r, the step length is
+    |r|/|v|, bounded to [1, step_max], and the point theta0 + 2 a r + a^2 v
+    (alpha = -a in Varadhan & Roland's sign).  While one of its weights is
+    negative, or one of its numbers is not finite, a moves halfway toward 1.
+    Then the weights are renormalised and the means clipped to [lo, hi].  A
+    row whose a ends at 1 gets theta2 itself.  Returns the points, which rows
+    moved off theta2, and which rows reached step_max.
+    """
+    k = t0.shape[1] // 2
+    r = t1 - t0
+    v = t2 - t1 - r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sqrt((r * r).sum(axis=1) / (v * v).sum(axis=1))
+    at_max = ratio >= step_max
+    a = np.where(ratio > 1.0, np.minimum(ratio, step_max), 1.0)  # 0/0 gives 1
+    out = t2.copy()
+    todo = np.flatnonzero(a > 1.0)
+    while todo.size:
+        at = a[todo, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = t0[todo] + 2.0 * at * r[todo] + at * at * v[todo]
+            total = x[:, :k].sum(axis=1)
+            ok = (x[:, :k] >= 0.0).all(axis=1) & (total > 0.0) & np.isfinite(x.sum(axis=1))
+        x = x[ok]
+        x[:, :k] /= total[ok, None]
+        x[:, k:] = np.clip(x[:, k:], lo, hi)
+        out[todo[ok]] = x
+        todo = todo[~ok]
+        a[todo] = 0.5 * (a[todo] + 1.0)
+        todo = todo[a[todo] > 1.0]
+    return out, a > 1.0, at_max
+
+
 def _em_run(z: np.ndarray, config: ModelConfig, w0: np.ndarray, m0: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, list[float], np.ndarray, np.ndarray, list]:
-    """EM from S starts at once: w0, m0 are (S, K), one start per row.
+    """SQUAREM-accelerated EM from S starts at once: w0, m0 are (S, K), one
+    start per row.
 
-    Each iteration evaluates every running start in one (S, n, K) pass; a start
-    is frozen at the iteration where it converges.  Returns per start, in
-    order: weights, means, final loglik, iterations, converged and loglik path.
+    Every round, each running start theta0 takes two EM maps, theta1 and
+    theta2, and their S3 extrapolation theta' (_squarem_point).  theta' is
+    accepted when its log-likelihood is at least theta1's; otherwise the round
+    falls back to theta2.  A start's step bound begins at 1, grows 4-fold after
+    a round whose step reached it, and shrinks 4-fold (not below 1) when such a
+    step is rejected.  A start stops at the first theta1 or fall-back that
+    gains less than EM_TOL over theta0 (converged), or once it has taken
+    EM_MAX_ITER E-passes, at its best evaluated EM iterate.  All running starts
+    share one (S, n, K) array per E-pass and a start is frozen where it stops,
+    so every start follows the path it would follow alone.  Returns per start,
+    in order: weights, means, final loglik, E-passes, converged and the loglik
+    path of its accepted iterates.
     """
-    w = np.array(w0, dtype=float)
-    m = np.array(m0, dtype=float)
-    n_starts, k = w.shape
-    n = z.shape[0]
-    if n == 0:
-        return (w, m, [0.0] * n_starts, np.zeros(n_starts, dtype=int),
+    theta = np.concatenate([np.array(w0, dtype=float), np.array(m0, dtype=float)], axis=1)
+    n_starts, k = theta.shape[0], theta.shape[1] // 2
+    if z.shape[0] == 0:
+        return (theta[:, :k], theta[:, k:], [0.0] * n_starts, np.zeros(n_starts, dtype=int),
                 np.ones(n_starts, dtype=bool), [(0.0,)] * n_starts)
+    lo, hi = config.m_lo, config.m_hi
     paths: list[list[float]] = [[] for _ in range(n_starts)]
-    prev = np.full(n_starts, -np.inf)
-    iters = np.full(n_starts, EM_MAX_ITER)
+    passes = np.zeros(n_starts, dtype=int)
     converged = np.zeros(n_starts, dtype=bool)
-    run = np.arange(n_starts)  # the starts still running
 
-    def eval_ll(run):
-        comp = mixture_log_components(z, w[run], m[run], config.sigma)
+    def e_pass(run, t, strict=True):
+        """Component log-densities, per-point and total loglik of the
+        parameters t of the starts run; a non-finite loglik is an error
+        where strict."""
+        comp = mixture_log_components(z, t[:, :k], t[:, k:], config.sigma)
         per_obs = logsumexp_rows(comp)
         ll = per_obs.sum(axis=1)
-        for s, v in zip(run, ll.tolist()):
-            paths[s].append(v)
-            if not math.isfinite(v):
-                raise ParameterError(f"EM at K={k}: log-likelihood is {v}; the data are "
-                                     f"too extreme for sigma={config.sigma:g}")
+        passes[run] += 1
+        bad = strict & ~np.isfinite(ll)
+        if bad.any():
+            raise ParameterError(f"EM at K={k}: log-likelihood is {ll[bad][0]}; the data "
+                                 f"are too extreme for sigma={config.sigma:g}")
         return comp, per_obs, ll
 
-    for it in range(1, EM_MAX_ITER + 1):
-        comp, per_obs, ll = eval_ll(run)
-        done = ll - prev[run] < EM_TOL
-        if done.any():
-            iters[run[done]] = it
-            converged[run[done]] = True
-            run, comp, per_obs, ll = run[~done], comp[~done], per_obs[~done], ll[~done]
+    def log_path(starts, ll):
+        for s, v in zip(starts, ll.tolist()):
+            paths[s].append(v)
+
+    def finish(out, t, conv):
+        """Freeze the starts run[out] at t; returns the mask of the others."""
+        theta[run[out]] = t[out]
+        converged[run[out]] = conv[out]
+        return ~out
+
+    run = np.arange(n_starts)
+    state = [theta.copy(), *e_pass(run, theta), np.ones(n_starts)]
+    log_path(run, state[3])
+    keep = finish(passes >= EM_MAX_ITER, state[0], converged)
+    while True:
+        run, (t0, c0, p0, l0, step_max) = run[keep], [a[keep] for a in state]
+        if run.size == 0:
+            break
+        t1 = _em_map(z, c0, p0, t0, lo, hi)
+        c1, p1, l1 = e_pass(run, t1)
+        stop = l1 - l0 < EM_TOL
+        out = stop | (passes[run] >= EM_MAX_ITER)
+        if out.any():
+            log_path(run[out], l1[out])
+            keep = finish(out, t1, stop)
+            run, t0, l0, step_max, t1, c1, p1, l1 = (
+                a[keep] for a in (run, t0, l0, step_max, t1, c1, p1, l1))
             if run.size == 0:
                 break
-        prev[run] = ll
-        resp = np.exp(comp - per_obs[:, :, None])
-        nk = resp.sum(axis=1)
-        w[run] = nk / n
-        with np.errstate(invalid="ignore"):
-            new_m = resp.transpose(0, 2, 1) @ z / nk
-        m[run] = np.where(nk > 0.0, np.clip(new_m, config.m_lo, config.m_hi), m[run])
-    if run.size:
-        eval_ll(run)  # loglik of the params actually returned
-    return w, m, [path[-1] for path in paths], iters, converged, paths
+        t2 = _em_map(z, c1, p1, t1, lo, hi)
+        ta, moved, at_max = _squarem_point(t0, t1, t2, step_max, lo, hi)
+        ca, pa, la = e_pass(run, ta, strict=~moved)
+        back = moved & ~(la >= l1)  # theta' rejected
+        if back.any():
+            # at the cap the start ends at theta1, else it falls back to theta2
+            at_cap = back & (passes[run] >= EM_MAX_ITER)
+            ta[at_cap], ca[at_cap], pa[at_cap], la[at_cap] = (
+                t1[at_cap], c1[at_cap], p1[at_cap], l1[at_cap])
+            fall = np.flatnonzero(back & ~at_cap)
+            if fall.size:
+                ta[fall] = t2[fall]
+                ca[fall], pa[fall], la[fall] = e_pass(run[fall], ta[fall])
+        if at_max.any():
+            step_max = np.where(at_max, np.where(back, np.maximum(step_max / 4.0, 1.0),
+                                                 step_max * 4.0), step_max)
+        log_path(run, la)
+        stop = la - l0 < EM_TOL
+        keep = finish(stop | (passes[run] >= EM_MAX_ITER), ta, stop)
+        state = [ta, ca, pa, la, step_max]
+    return theta[:, :k], theta[:, k:], [path[-1] for path in paths], passes, converged, paths
 
 
 def _lm_start_list(z: np.ndarray, k: int, config: ModelConfig, starts: int,

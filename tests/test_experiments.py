@@ -2,9 +2,14 @@ import json
 import re
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from orderest import ExperimentSpec, Family, ModelConfig, ThetaVR, UsageError, parse_spec, run
-from orderest.experiments import git_blob_sha1, invariant_suite
+from orderest import (
+    ExperimentSpec, Family, Leaf, ModelConfig, Split, ThetaAC, ThetaLM, ThetaVR, UsageError,
+    parse_spec, run,
+)
+from orderest.deviations import ESTIMATORS
+from orderest.experiments import MODES, git_blob_sha1, invariant_suite
 
 SPEC_TEXT = """
 [model]
@@ -41,6 +46,46 @@ def spec_for(tmp_path, **overrides) -> ExperimentSpec:
 def invariant_results():
     """invariant_suite(seed=0), run once (~15 s) for every test that reads it."""
     return invariant_suite(seed=0)
+
+
+# finite floats of every size, most of them needing all 17 significant digits
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def specs(draw):
+    family = draw(st.sampled_from(list(Family)))
+    values = draw(st.lists(FINITE, min_size=2, max_size=5))
+    lo, hi = min(values), max(values)
+    if family is Family.VR:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    assume(lo < hi)
+    if family is Family.LM:
+        raw = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(values), max_size=len(values)))
+        theta = ThetaLM(tuple(w / sum(raw) for w in raw), tuple(values))
+    elif family is Family.VR:
+        theta = ThetaVR(tuple(values))
+    else:
+        cut = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        theta = ThetaAC(Split(draw(st.sampled_from([1, 2])), cut, Leaf(values[0]),
+                              Leaf(values[1])))
+    config = ModelConfig(family, sigma=draw(st.floats(0.0, exclude_min=True,
+                                                      allow_infinity=False)),
+                         m_lo=lo, m_hi=hi, ac_depth_max=draw(st.integers(1, 8)))
+    return ExperimentSpec(
+        config=config, theta_star=theta,
+        schedule_spec=draw(st.sampled_from(["bic D=dim", "power:0.25 D=linear*0.5",
+                                            "logpower:0.1 D=dim*0.05", "iterlog"])),
+        estimator=draw(st.sampled_from(ESTIMATORS)),
+        n_grid=tuple(sorted(draw(st.sets(st.integers(1, 10 ** 9), min_size=1, max_size=5)))),
+        trials=draw(st.integers(1, 10 ** 9)), seed=draw(st.integers(-2 ** 63, 2 ** 63)),
+        output_dir=draw(st.text("abcXYZ019_-./", min_size=1, max_size=20)),
+        mode=draw(st.sampled_from(MODES)), k_max=draw(st.integers(1, 8)))
+
+
+@given(specs())
+def test_spec_text_round_trip(spec):
+    assert parse_spec(spec.to_text()) == spec
 
 
 class TestParseSpec:

@@ -6,11 +6,14 @@ from scipy.special import logsumexp
 
 from orderest import (
     Family, Leaf, ModelConfig, ParameterError, Sample, Split, ThetaAC, ThetaLM, ThetaVR,
-    FitResult, UsageError, embed, fit_ac, fit_lm_em, fit_vr, log_likelihood, profile,
-    simulate,
+    FitResult, UsageError, embed, estimate_orders, fit_ac, fit_lm_em, fit_vr, log_likelihood,
+    parse_schedule, profile, random_theta, simulate,
 )
+from orderest import fitting
 from orderest.fitting import EM_MAX_ITER, EM_TOL, _box_qp, _lm_start_list
-from orderest.models import derive_seed, rng_for, vr_basis_matrix
+from orderest.models import (
+    derive_seed, logsumexp_rows, mixture_log_components, rng_for, vr_basis_matrix,
+)
 from orderest import guillotine
 
 LM = ModelConfig(Family.LM, sigma=1.0)
@@ -20,65 +23,154 @@ AC = ModelConfig(Family.AC, sigma=1.0, ac_depth_max=2)
 TWO_CELL = ThetaAC(Split(1, 0.5, Leaf(0.0), Leaf(1.0)))
 
 
-def _em_run_one_start(z, config, w0, m0):
-    """EM from one start as fit_lm_em ran it before its starts were batched:
-    the same component density, scipy's logsumexp, stopping rule and M-step."""
+def _squarem_one_start(z, config, w0, m0):
+    """SQUAREM-accelerated EM from one start, written out with scalars and
+    scipy's logsumexp: the same cycle, step bound, acceptance rule, stopping
+    rule and E-pass cap as fitting._em_run.  Returns weights, means, final
+    loglik, E-passes, converged and the loglik path of the accepted iterates."""
+    lo, hi = config.m_lo, config.m_hi
     w = np.asarray(w0, dtype=float).copy()
     m = np.asarray(m0, dtype=float).copy()
     n = z.shape[0]
     if n == 0:
         return w, m, 0.0, 0, True, (0.0,)
-    path = []
-    prev = -np.inf
-    converged = False
-    iters = 0
+    passes = 0
 
-    def eval_ll(w, m):
+    def e_pass(w, m, strict=True):
+        nonlocal passes
+        passes += 1
         with np.errstate(divide="ignore", over="ignore"):
             log_w = np.log(w)
             q = ((z[:, None] - m[None, :]) / config.sigma) ** 2
         comp = (-0.5 * math.log(2.0 * math.pi) - math.log(config.sigma)) - 0.5 * q + log_w[None, :]
         per_obs = logsumexp(comp, axis=1)
         ll = float(per_obs.sum())
-        if not math.isfinite(ll):
+        if strict and not math.isfinite(ll):
             raise ParameterError(f"EM at K={w.size}: log-likelihood is {ll}")
         return comp, per_obs, ll
 
-    for iters in range(1, EM_MAX_ITER + 1):
-        comp, per_obs, ll = eval_ll(w, m)
-        path.append(ll)
-        if ll - prev < EM_TOL:
-            converged = True
-            break
-        prev = ll
+    def em_map(comp, per_obs, m):
         resp = np.exp(comp - per_obs[:, None])
         nk = resp.sum(axis=0)
-        w = nk / n
         with np.errstate(invalid="ignore"):
             new_m = resp.T @ z / nk
-        m = np.where(nk > 0.0, np.clip(new_m, config.m_lo, config.m_hi), m)
-    if not converged:
-        path.append(eval_ll(w, m)[2])
-    return w, m, path[-1], iters, converged, tuple(path)
+        return nk / n, np.where(nk > 0.0, np.clip(new_m, lo, hi), m)
+
+    comp, per_obs, ll = e_pass(w, m)
+    path = [ll]
+    step_max = 1.0
+    while passes < EM_MAX_ITER:
+        w1, m1 = em_map(comp, per_obs, m)
+        comp1, per_obs1, ll1 = e_pass(w1, m1)
+        if ll1 - ll < EM_TOL or passes >= EM_MAX_ITER:
+            path.append(ll1)
+            return w1, m1, ll1, passes, ll1 - ll < EM_TOL, tuple(path)
+        w2, m2 = em_map(comp1, per_obs1, m1)
+        rw, rm = w1 - w, m1 - m
+        vw, vm = w2 - w1 - rw, m2 - m1 - rm
+        r, v = np.concatenate([rw, rm]), np.concatenate([vw, vm])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.sqrt((r * r).sum() / (v * v).sum())
+        at_max = ratio >= step_max
+        a = min(ratio, step_max) if ratio > 1.0 else 1.0
+        while a > 1.0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                wx = w + 2.0 * a * rw + a * a * vw
+                mx = m + 2.0 * a * rm + a * a * vm
+                total, every = wx.sum(), np.concatenate([wx, mx]).sum()
+                if (wx >= 0.0).all() and total > 0.0 and np.isfinite(every):
+                    break
+            a = 0.5 * (a + 1.0)
+        rejected = False
+        if a > 1.0:
+            wa, ma = wx / total, np.clip(mx, lo, hi)
+            ca, pa, la = e_pass(wa, ma, strict=False)
+            rejected = not la >= ll1
+            if rejected and passes >= EM_MAX_ITER:
+                wa, ma, ca, pa, la = w1, m1, comp1, per_obs1, ll1
+            elif rejected:
+                wa, ma = w2, m2
+                ca, pa, la = e_pass(wa, ma)
+        else:
+            wa, ma = w2, m2
+            ca, pa, la = e_pass(wa, ma)
+        if at_max:
+            step_max = max(step_max / 4.0, 1.0) if rejected else step_max * 4.0
+        path.append(la)
+        if la - ll < EM_TOL:
+            return wa, ma, la, passes, True, tuple(path)
+        w, m, comp, per_obs, ll = wa, ma, ca, pa, la
+    return w, m, ll, passes, False, tuple(path)
 
 
 def _fit_lm_em_one_start_at_a_time(sample, k, config, starts, extra_inits):
+    """fit_lm_em with every start run alone by _squarem_one_start; also
+    returns each start's E-pass count."""
     inits = _lm_start_list(sample.z, k, config, starts, sample.seed)
     if extra_inits:
         inits = [(np.asarray(w, dtype=float), np.asarray(m, dtype=float))
                  for w, m in extra_inits] + inits
     best = None
-    paths = []
+    paths, passes = [], []
     for w0, m0 in inits:
-        w, m, ll, iters, conv, path = _em_run_one_start(sample.z, config, w0, m0)
+        w, m, ll, iters, conv, path = _squarem_one_start(sample.z, config, w0, m0)
         paths.append(path)
+        passes.append(iters)
         if best is None or ll > best[2] + 1e-12:
             best = (w, m, ll, iters, conv)
     w, m, _, iters, conv = best
     theta = ThetaLM(tuple(w / w.sum()), tuple(m))
     return FitResult(theta=theta, loglik=log_likelihood(config, theta, sample),
                      iterations=iters, converged=conv, starts_used=len(inits),
-                     loglik_paths=tuple(paths))
+                     loglik_paths=tuple(paths)), passes
+
+
+def _plain_em_run(z, config, w0, m0):
+    """Plain batched EM, the kernel fitting._em_run ran before SQUAREM: one EM
+    step per iteration, stopped when a step gains less than EM_TOL or after
+    EM_MAX_ITER steps.  Same arguments and returns as fitting._em_run."""
+    w = np.array(w0, dtype=float)
+    m = np.array(m0, dtype=float)
+    n_starts, k = w.shape
+    n = z.shape[0]
+    if n == 0:
+        return (w, m, [0.0] * n_starts, np.zeros(n_starts, dtype=int),
+                np.ones(n_starts, dtype=bool), [(0.0,)] * n_starts)
+    paths = [[] for _ in range(n_starts)]
+    prev = np.full(n_starts, -np.inf)
+    iters = np.full(n_starts, EM_MAX_ITER)
+    converged = np.zeros(n_starts, dtype=bool)
+    run = np.arange(n_starts)
+
+    def eval_ll(run):
+        comp = mixture_log_components(z, w[run], m[run], config.sigma)
+        per_obs = logsumexp_rows(comp)
+        ll = per_obs.sum(axis=1)
+        for s, v in zip(run, ll.tolist()):
+            paths[s].append(v)
+            if not math.isfinite(v):
+                raise ParameterError(f"EM at K={k}: log-likelihood is {v}")
+        return comp, per_obs, ll
+
+    for it in range(1, EM_MAX_ITER + 1):
+        comp, per_obs, ll = eval_ll(run)
+        done = ll - prev[run] < EM_TOL
+        if done.any():
+            iters[run[done]] = it
+            converged[run[done]] = True
+            run, comp, per_obs, ll = run[~done], comp[~done], per_obs[~done], ll[~done]
+            if run.size == 0:
+                break
+        prev[run] = ll
+        resp = np.exp(comp - per_obs[:, :, None])
+        nk = resp.sum(axis=1)
+        w[run] = nk / n
+        with np.errstate(invalid="ignore"):
+            new_m = resp.transpose(0, 2, 1) @ z / nk
+        m[run] = np.where(nk > 0.0, np.clip(new_m, config.m_lo, config.m_hi), m[run])
+    if run.size:
+        eval_ll(run)
+    return w, m, [path[-1] for path in paths], iters, converged, paths
 
 
 class TestEmLm:
@@ -105,9 +197,44 @@ class TestEmLm:
                 extra = [(emb.weights, emb.means)]
             starts = int(rng.integers(1, 5))
             res = fit_lm_em(s, k, config, starts=starts, extra_inits=extra, track_paths=True)
-            assert res == _fit_lm_em_one_start_at_a_time(s, k, config, starts, extra), i
-            capped += sum(len(p) == EM_MAX_ITER + 1 for p in res.loglik_paths)
+            want, passes = _fit_lm_em_one_start_at_a_time(s, k, config, starts, extra)
+            assert res == want, i
+            assert all(p <= EM_MAX_ITER for p in passes), i
+            capped += passes.count(EM_MAX_ITER)
         assert capped > 0  # some start must run into EM_MAX_ITER
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", ["n=1", "n=2", "25 identical", "K>n", "0.1 lattice",
+                                      "tight box", "+-1e6"])
+    def test_adversarial_lm_fits(self, case):
+        # where extrapolation could make NaN weights or a 0/0 step length
+        rng = rng_for(91)
+        box = (-2.0, 2.0)
+        if case == "n=1":
+            z = np.array([0.3])
+        elif case == "n=2":
+            z = np.array([-0.7, 1.1])
+        elif case == "25 identical":
+            z = np.full(25, 0.37)
+        elif case == "K>n":
+            z = np.array([-1.0, 0.2, 1.3])
+        elif case == "0.1 lattice":
+            z = np.round(rng.standard_normal(40), 1)
+        elif case == "tight box":
+            z = rng.choice([-1.5, 1.5], 60) + rng.standard_normal(60)
+            box = (-0.25, 0.25)
+        else:
+            z = rng.choice([-1e6, 1e6], 30) + rng.standard_normal(30)
+        config = ModelConfig(Family.LM, sigma=1.0, m_lo=box[0], m_hi=box[1])
+        s = Sample(Family.LM, z, seed=3, n=z.size)
+        for k in range(1, 5):
+            res = fit_lm_em(s, k, config, track_paths=True)
+            w, m = np.array(res.theta.weights), np.array(res.theta.means)
+            assert (w >= 0.0).all() and abs(w.sum() - 1.0) <= 1e-12, k
+            assert ((box[0] <= m) & (m <= box[1])).all(), k
+            assert abs(res.loglik - log_likelihood(config, res.theta, s)) <= 1e-9, k
+            for path in res.loglik_paths:
+                assert np.diff(path).min(initial=0.0) >= -1e-9 * max(1.0, abs(path[0])), k
 
     def test_k1_matches_closed_form(self):
         s = simulate(LM, ThetaLM((0.5, 0.5), (-2.0, 2.0)), 400, seed=1)
@@ -185,6 +312,33 @@ class TestEmLm:
         s = Sample(Family.LM, np.asarray(z), seed=0, n=len(z))
         with pytest.raises(ParameterError, match=f"^EM at K={k}: log-likelihood is -inf"):
             fit_lm_em(s, k, LM)
+
+
+class TestSquaremAgainstPlainEm:
+    # n of the samples, cycled: mostly small, where plain EM is cheap enough
+    # for 150 samples, and up to 400
+    N_CYCLE = (50,) * 20 + (75,) * 4 + (100,) * 3 + (200, 300, 400)
+
+    def test_profiles_match_plain_em(self, monkeypatch):
+        # SQUAREM takes other EM paths than plain EM, so a fit may end in another
+        # local mode; the orders must not move, and few fits may end lower
+        schedule = parse_schedule("bic D=dim", Family.LM, 4)
+        samples = []
+        for i in range(150):
+            rng = rng_for(603, i)
+            theta = random_theta(LM, int(rng.integers(1, 4)), rng)
+            samples.append(simulate(LM, theta, self.N_CYCLE[i % len(self.N_CYCLE)],
+                                    derive_seed(604, i)))
+        squarem = [profile(s, LM, 4) for s in samples]
+        monkeypatch.setattr(fitting, "_em_run", _plain_em_run)
+        plain = [profile(s, LM, 4) for s in samples]
+        lower, limit = [], 0.02 * 4 * len(samples)
+        for i, (s, sq, pl) in enumerate(zip(samples, squarem, plain)):
+            got, want = (estimate_orders(p, schedule, s.n, 3, 3) for p in (sq, pl))
+            assert (got.k_local, got.k_global) == (want.k_local, want.k_global), i
+            lower += [(i, k, sq.loglik(k) - pl.loglik(k)) for k in range(1, 5)
+                      if sq.loglik(k) < pl.loglik(k) - 1e-6]
+        assert len(lower) <= limit, lower
 
 
 class TestFitVr:

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import logsumexp
 
 from orderest import (
@@ -329,6 +330,61 @@ class TestSerialization:
         assert sample_to_csv(s).splitlines()[0] == "idx,z"
         s = simulate(AC, TWO_CELL, 2, seed=0)
         assert sample_to_csv(s).splitlines()[0] == "idx,x1,x2,y"
+
+
+# finite floats of every size, most of them needing all 17 significant digits
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def lm_thetas(draw):
+    raw = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6))
+    weights = np.asarray(raw) / sum(raw)
+    means = draw(st.lists(FINITE, min_size=len(raw), max_size=len(raw)))
+    return ThetaLM(tuple(weights), tuple(means))
+
+
+@st.composite
+def configs(draw, family=None):
+    """A ModelConfig of the given family, else of any family."""
+    family = draw(st.sampled_from(list(Family))) if family is None else family
+    lo, hi = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+    if family is Family.VR:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    return ModelConfig(family, sigma=draw(st.floats(1e-300, 1e300)), m_lo=lo, m_hi=hi,
+                       ac_depth_max=draw(st.integers(1, 64)))
+
+
+@st.composite
+def samples(draw):
+    family = draw(st.sampled_from(list(Family)))
+    n = draw(st.integers(0, 12))
+    y = draw(st.lists(FINITE, min_size=n, max_size=n))
+    if family is Family.LM:
+        return Sample(family, np.asarray(y, dtype=float), draw(st.integers()), n)
+    d = 1 if family is Family.VR else 2
+    x = draw(st.lists(st.lists(UNIT, min_size=d, max_size=d), min_size=n, max_size=n))
+    points = np.column_stack([np.asarray(x, dtype=float).reshape(n, d), y])
+    return Sample(family, points, draw(st.integers()), n)
+
+
+class TestSerializationProperties:
+    @given(configs())
+    def test_config_round_trip(self, config):
+        assert config_from_kv(config_to_kv(config)) == config
+
+    @given(st.one_of(lm_thetas(), st.lists(FINITE, min_size=1, max_size=6).map(
+        lambda c: ThetaVR(tuple(c)))))
+    def test_theta_round_trip(self, theta):
+        assert theta_from_kv(theta_to_kv(theta)) == theta
+
+    @given(samples())
+    def test_sample_csv_round_trip(self, s):
+        back = sample_from_csv(sample_to_csv(s), seed=s.seed)
+        assert (back.family, back.n, back.seed) == (s.family, s.n, s.seed)
+        assert back.points.shape == s.points.shape
+        assert np.array_equal(back.points, s.points)
 
 
 class TestLogsumexpRows:
