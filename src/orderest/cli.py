@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .criterion import crit, estimate_orders
 from .deviations import ESTIMATORS
 from .experiments import (
-    MODES, RUN_KEYS, ExperimentSpec, entropy_table, parse_spec, report_invariants, run,
+    MODES, RUN_KEYS, ExperimentSpec, _spec_fields, entropy_table, report_invariants, run,
     write_artifact,
 )
 from .fitting import fit_k, fits_csv, profile
@@ -28,13 +27,14 @@ from .models import (
 
 def _load_spec(args) -> ExperimentSpec:
     """The --spec file with each [run] flag given in place of its key.  Flags
-    go through the spec's own parsers and checks, as if they were spec lines."""
-    spec = parse_spec(Path(args.spec).read_text())
-    updates = _kv_parse(RUN_KEYS, {key: getattr(args, key) for key in RUN_KEYS
-                                   if getattr(args, key, None) is not None}, "[run]")
+    go through the spec's own parsers and checks, as if they were spec lines,
+    so the spec is checked only as the flags leave it."""
+    fields = _spec_fields(Path(args.spec).read_text())
+    fields.update(_kv_parse(RUN_KEYS, {key: getattr(args, key) for key in RUN_KEYS
+                                       if getattr(args, key, None) is not None}, "[run]"))
     if args.schedule is not None:
-        updates["schedule_spec"] = args.schedule
-    return replace(spec, **updates)
+        fields["schedule_spec"] = args.schedule
+    return ExperimentSpec(**fields)
 
 
 def _load_sample(args, spec: ExperimentSpec) -> Sample:

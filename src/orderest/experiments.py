@@ -90,6 +90,14 @@ class ExperimentSpec:
             raise UsageError("k_max must be >= 1")
         # fail here, not mid-campaign
         validate_theta(self.config, self.theta_star)
+        if self.config.family is Family.AC and self.mode != "invariants":
+            # the MC modes profile K = 1..k_max + 1, the entropy table K = 1..k_max
+            k_top = self.k_max + (self.mode != "entropy_table")
+            depth = self.config.ac_depth_max
+            if k_top > 2 ** depth:
+                raise UsageError(
+                    f"mode={self.mode} fits K up to {k_top} (k_max = {self.k_max}), but a tree "
+                    f"of ac_depth_max = {depth} has at most {2 ** depth} leaves")
         self.schedule()
 
     def schedule(self) -> PenaltySchedule:
@@ -112,6 +120,12 @@ RUN_KEYS = {"mode": str, "estimator": str, "n_grid": lambda text: tuple(map(int,
 
 def parse_spec(text: str) -> ExperimentSpec:
     """Parse the sectioned key = value format; unknown keys raise."""
+    return ExperimentSpec(**_spec_fields(text))
+
+
+def _spec_fields(text: str) -> dict:
+    """The ExperimentSpec arguments that spec text gives; each value is parsed
+    and checked on its own, the spec as a whole only when it is built."""
     sections: dict[str, list[str]] = {}
     lines = None
     for raw in text.splitlines():
@@ -139,8 +153,8 @@ def parse_spec(text: str) -> ExperimentSpec:
         raise UsageError("missing theta.* keys in [model]")
     if set(sched) != {"spec"}:
         raise UsageError(f"[schedule] takes exactly the key 'spec'; got {sorted(sched)}")
-    return ExperimentSpec(_config_from_map(model), _theta_from_map(theta), sched["spec"],
-                          **_kv_parse(RUN_KEYS, run_kv, "[run]"))
+    return dict(config=_config_from_map(model), theta_star=_theta_from_map(theta),
+                schedule_spec=sched["spec"], **_kv_parse(RUN_KEYS, run_kv, "[run]"))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,12 @@ once per cut, child and budget, through a memo keyed by (cell, budget,
 depth); at depth 2 nothing recurses, and at depth 3 the memo holds O(cuts)
 cells.  Memory is O(distinct x1 * distinct x2) for the prefix sums, plus the
 memo, plus the pair pass's temporaries, which _PAIR_BLOCK bounds.
+
+Each of the two fits keeps the DP of its last grid, keyed by the exact grid
+inputs, so a profile's K = 1, 2, ... of one sample, or every K projected from
+one target, reuse one grid, one prefix-sum table and one memo; between calls
+one DP per kind stays alive, its O(distinct x1 * distinct x2) prefix sums and
+its memo.
 """
 
 from __future__ import annotations
@@ -379,20 +385,42 @@ def _grid_dp(edges, atoms: np.ndarray, depth_cap: int, m_lo: float, m_hi: float,
     return lambda k_leaves: best(root, k_leaves, depth_cap)[::-1]
 
 
+_KEPT: dict[str, tuple] = {}  # per kind of fit, (key, DP) of the last grid asked about
+
+
+def _kept_dp(kind: str, key, build):
+    """The kept DP of this kind if its key is `key`, else build() kept in its place.
+
+    A DP's answers are pure functions of its grid inputs, so whichever K were
+    asked before, a kept DP answers as a fresh one would.  The key holds
+    those inputs exactly, as array bytes and float reprs (which tell -0.0
+    from 0.0), so any change to them builds a new DP.
+    """
+    kept = _KEPT.get(kind)
+    if kept is None or kept[0] != key:
+        _KEPT.pop(kind, None)  # the old DP goes before the new one is built
+        kept = _KEPT[kind] = (key, build())
+    return kept[1]
+
+
 def fit_tree_empirical(x: np.ndarray, y: np.ndarray, k_leaves: int, depth_cap: int,
                        sigma: float, m_lo: float, m_hi: float) -> tuple[Node, float]:
     """Best <=k_leaves guillotine tree for data (x, y); returns (tree, loglik).
 
     Ties within 1e-12 of log-likelihood go to the first candidate.  Without
-    data the tree is one leaf at the mark nearest 0.
+    data the tree is one leaf at the mark nearest 0.  Calls on the same data,
+    cap, box and sigma share one DP.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     if n == 0:
         return Leaf(min(max(0.0, m_lo), m_hi)), 0.0
-    tree, sse = _grid_dp(*_data_grid(x, y), depth_cap, m_lo, m_hi,
-                         tol=1e-12 * 2.0 * sigma ** 2)(k_leaves)  # 1e-12 of log-likelihood
+    tol = 1e-12 * 2.0 * sigma ** 2  # 1e-12 of log-likelihood
+    key = (x.shape, y.shape, x.tobytes(), y.tobytes(), repr((depth_cap, m_lo, m_hi, tol)))
+    dp = _kept_dp("empirical", key,
+                  lambda: _grid_dp(*_data_grid(x, y), depth_cap, m_lo, m_hi, tol))
+    tree, sse = dp(k_leaves)
     return tree, n * (-0.5 * LOG_2PI - math.log(sigma)) - sse / (2.0 * sigma ** 2)
 
 
@@ -416,7 +444,8 @@ def fit_tree_population(target: Node, k_leaves: int, depth_cap: int,
 
 
 def _population_dp(target: Node, depth_cap: int, m_lo: float, m_hi: float):
-    return _grid_dp(*_target_grid(target), depth_cap, m_lo, m_hi, tol=1e-15)
+    return _kept_dp("population", repr((target, depth_cap, m_lo, m_hi)),
+                    lambda: _grid_dp(*_target_grid(target), depth_cap, m_lo, m_hi, tol=1e-15))
 
 
 def _target_grid(target: Node):

@@ -146,3 +146,46 @@ def test_invariant_failure_exits_nonzero(argv, spec_file, monkeypatch, capsys):
     assert "[PASS] kl_nonnegativity: fine" in captured.out
     assert "[FAIL] peeling: violation for VR dataset 0" in captured.out
     assert "invariant suite failed: peeling" in captured.err
+
+
+AC_SPEC = """
+[model]
+family = AC
+sigma = 1.0
+ac_depth_max = 1
+theta.kind = ac
+theta.tree.r = split 1 0.5
+theta.tree.r0 = leaf 0
+theta.tree.r1 = leaf 1
+
+[schedule]
+spec = bic D=dim
+
+[run]
+mode = consistency
+n_grid = 50
+trials = 2
+k_max = 2
+output_dir = {out}
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["--mode", "entropy_table", "--k-max", "3"]])
+def test_ac_k_beyond_depth_cap_fails_before_the_campaign(flags, tmp_path, capsys):
+    # K = 3 needs a depth-2 tree: exit 2 at the spec, before the schedule
+    # warning and before any output is written
+    path = tmp_path / "ac.spec"
+    path.write_text(AC_SPEC.format(out=tmp_path / "out"))
+    assert main(["campaign", "--spec", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mode=") and "ac_depth_max = 1" in err
+    assert "warning" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_flags_can_mend_a_spec_file(tmp_path):
+    # the file alone fits K = 3 at depth 1; the spec is checked as the flags leave it
+    path = tmp_path / "ac.spec"
+    path.write_text(AC_SPEC.format(out=tmp_path / "out"))
+    assert main(["campaign", "--spec", str(path), "--k-max", "1"]) == 0
+    assert (tmp_path / "out" / "consistency_results.csv").exists()

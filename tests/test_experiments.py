@@ -69,9 +69,13 @@ def specs(draw):
         cut = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
         theta = ThetaAC(Split(draw(st.sampled_from([1, 2])), cut, Leaf(values[0]),
                               Leaf(values[1])))
+    mode, k_max = draw(st.sampled_from(MODES)), draw(st.integers(1, 8))
+    # an AC tree of depth d holds the largest K the mode fits only if 2**d >= K
+    k_top = {"entropy_table": k_max, "invariants": 1}.get(mode, k_max + 1)
+    depth_min = (k_top - 1).bit_length() if family is Family.AC else 1
     config = ModelConfig(family, sigma=draw(st.floats(0.0, exclude_min=True,
                                                       allow_infinity=False)),
-                         m_lo=lo, m_hi=hi, ac_depth_max=draw(st.integers(1, 8)))
+                         m_lo=lo, m_hi=hi, ac_depth_max=draw(st.integers(max(1, depth_min), 8)))
     return ExperimentSpec(
         config=config, theta_star=theta,
         schedule_spec=draw(st.sampled_from(["bic D=dim", "power:0.25 D=linear*0.5",
@@ -80,7 +84,7 @@ def specs(draw):
         n_grid=tuple(sorted(draw(st.sets(st.integers(1, 10 ** 9), min_size=1, max_size=5)))),
         trials=draw(st.integers(1, 10 ** 9)), seed=draw(st.integers(-2 ** 63, 2 ** 63)),
         output_dir=draw(st.text("abcXYZ019_-./", min_size=1, max_size=20)),
-        mode=draw(st.sampled_from(MODES)), k_max=draw(st.integers(1, 8)))
+        mode=mode, k_max=k_max)
 
 
 @given(specs())
@@ -164,6 +168,19 @@ class TestParseSpec:
     def test_decreasing_grid_rejected(self, tmp_path):
         with pytest.raises(UsageError):
             spec_for(tmp_path, n_grid=(100, 50))
+
+    @pytest.mark.parametrize("mode, k_max", [("consistency", 2), ("under_exponent", 2),
+                                             ("over_rate", 2), ("entropy_table", 3)])
+    def test_ac_k_beyond_depth_cap_rejected(self, tmp_path, mode, k_max):
+        # depth 1 holds 2 leaves: the MC modes fit K up to k_max + 1, the
+        # entropy table K up to k_max; both reach K = 3
+        ac = dict(config=ModelConfig(Family.AC, sigma=1.0, ac_depth_max=1),
+                  theta_star=ThetaAC(Split(1, 0.5, Leaf(0.0), Leaf(1.0))), mode=mode)
+        spec_for(tmp_path, k_max=k_max - 1, **ac)
+        with pytest.raises(UsageError, match=re.escape(
+                f"mode={mode} fits K up to 3 (k_max = {k_max}), but a tree of "
+                "ac_depth_max = 1 has at most 2 leaves")):
+            spec_for(tmp_path, k_max=k_max, **ac)
 
     @pytest.mark.parametrize("family, theta, key", [
         ("VR", "theta.kind = vr\ntheta.coeffs = 1 x", "theta.coeffs"),

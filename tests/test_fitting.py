@@ -728,6 +728,147 @@ class TestTreeDpOracle:
                     y.size * -0.5 * math.log(2.0 * math.pi) - 0.5 * sse, abs=1e-12), (cap, k)
 
 
+_FRESH_DP = guillotine._grid_dp  # builds a fresh DP; never counted
+
+
+@pytest.fixture
+def dp_builds(monkeypatch):
+    """Counts the DPs guillotine builds; starts with neither fit's DP kept."""
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args[2:])  # the depth cap, mark box and (empirical) tol
+        return _FRESH_DP(*args, **kwargs)
+
+    monkeypatch.setattr(guillotine, "_grid_dp", counted)
+    monkeypatch.setattr(guillotine, "_KEPT", {})
+    return builds
+
+
+def _k_orders(rng, ks):
+    """Ascending, descending and shuffled orders of ks."""
+    return [list(ks), list(ks)[::-1], [int(k) for k in rng.permutation(ks)]]
+
+
+def _shared_dp_datasets():
+    """(i, x, y, cap, m_lo, m_hi, sigma): n in {1, 2, 5, 30, 100} and depth
+    1-3 (3 only where n <= 30), twice each, once with each point given twice."""
+    rng = rng_for(83)
+    out = []
+    for i, (n, cap, twice) in enumerate((n, cap, twice) for n in (1, 2, 5, 30, 100)
+                                        for cap in (1, 2, 3) for twice in (False, True)
+                                        if cap < 3 or n <= 30):
+        x, y = _ac_dataset(rng, i, n)
+        if twice:
+            x, y = np.concatenate([x, x]), np.concatenate([y, y[::-1]])
+        m_lo, m_hi = (-0.25, 0.25) if i % 4 == 0 else (-2.0, 2.0)
+        out.append((i, x, y, cap, m_lo, m_hi, (0.5, 1.0)[i % 2]))
+    return out
+
+
+class TestSharedDp:
+    """One kept DP per kind answers every K, in any order, exactly as a fresh
+    DP per K does; any change to its inputs builds a new one."""
+
+    def test_empirical_any_k_order_equals_fresh_dp(self, dp_builds):
+        rng = rng_for(84)
+        for i, x, y, cap, m_lo, m_hi, sigma in _shared_dp_datasets():
+            tol = 1e-12 * 2.0 * sigma ** 2
+            const = y.size * (-0.5 * math.log(2.0 * math.pi) - math.log(sigma))
+            ks = range(1, 6)
+            fresh = {k: _FRESH_DP(*guillotine._data_grid(x, y), cap, m_lo, m_hi, tol)(k)
+                     for k in ks}
+            for order in _k_orders(rng, ks):
+                guillotine._KEPT.clear()
+                del dp_builds[:]
+                for k in order:
+                    tree, ll = guillotine.fit_tree_empirical(x, y, k, cap, sigma, m_lo, m_hi)
+                    want, sse = fresh[k]
+                    assert repr(tree) == repr(want), (i, order, k)
+                    assert ll == const - sse / (2.0 * sigma ** 2), (i, order, k)
+                assert len(dp_builds) == 1, (i, order)
+
+    def test_population_any_k_order_equals_fresh_dp(self, dp_builds):
+        rng = rng_for(85)
+        for i in range(24):
+            depth = 1 + i % 3
+            target = guillotine.random_tree(rng, int(rng.integers(1, 2 ** depth + 1)), depth,
+                                            -3.0, 3.0)
+            m_lo, m_hi = (-0.25, 0.25) if i % 4 == 0 else (-2.0, 2.0)
+            cap = 1 + (i // 3) % 3
+            ks, leaves = range(1, 6), guillotine.leaf_count(target)
+            fresh = {k: _FRESH_DP(*guillotine._target_grid(target), cap, m_lo, m_hi, 1e-15)(k)
+                     for k in range(1, max(5, leaves) + 1)}
+            smallest = next((k for k in range(1, leaves + 1) if fresh[k][1] <= 1e-12), leaves)
+            for order in _k_orders(rng, ks):
+                guillotine._KEPT.clear()
+                del dp_builds[:]
+                assert guillotine.minimal_leaf_count(target, cap, m_lo, m_hi) == smallest
+                for k in order:
+                    tree, sse = guillotine.fit_tree_population(target, k, cap, m_lo, m_hi)
+                    assert (repr(tree), sse) == (repr(fresh[k][0]), fresh[k][1]), (i, order, k)
+                assert len(dp_builds) == 1, (i, order)
+
+    def test_profile_equals_fit_ac_per_k(self, dp_builds):
+        for i, x, y, cap, m_lo, m_hi, sigma in _shared_dp_datasets():
+            config = ModelConfig(Family.AC, sigma=sigma, m_lo=m_lo, m_hi=m_hi, ac_depth_max=cap)
+            sample = Sample(Family.AC, np.column_stack([x, y]), seed=0, n=y.size)
+            k_top = min(5, 2 ** cap)
+            del dp_builds[:]
+            prof = profile(sample, config, k_top)
+            assert len(dp_builds) == 1, i
+            for k in range(1, k_top + 1):
+                guillotine._KEPT.clear()  # fit_ac from a fresh DP
+                assert repr(prof.result(k)) == repr(fit_ac(sample, k, config)), (i, k)
+
+    @pytest.mark.parametrize("change", ["x", "m_lo", "m_hi", "sigma", "depth_cap",
+                                        "x in place", "y in place"])
+    def test_empirical_key_misses(self, dp_builds, change):
+        rng = rng_for(86)
+        x = rng.uniform(0.0, 1.0, (40, 2))
+        y = (x[:, 0] > 0.5) - 1.5 + 0.3 * rng.standard_normal(40)  # marks near -1.5, -0.5
+        args = dict(depth_cap=2, sigma=1.0, m_lo=-2.0, m_hi=2.0)
+        guillotine.fit_tree_empirical(x, y, 3, **args)
+        guillotine.fit_tree_empirical(x, y, 2, **args)
+        assert len(dp_builds) == 1
+        if change == "x":
+            x = x[::-1].copy()  # equal y, points moved
+        elif change == "x in place":
+            x[:, 1] = 1.0 - x[:, 1]
+        elif change == "y in place":
+            y[:5] += 1.0
+        else:
+            args[change] = {"m_lo": -1.0, "m_hi": -1.0 + 1e-9, "sigma": 0.5,
+                            "depth_cap": 1}[change]
+        for k in (3, 2):
+            got = guillotine.fit_tree_empirical(x, y, k, **args)
+            tol = 1e-12 * 2.0 * args["sigma"] ** 2
+            tree, sse = _FRESH_DP(*guillotine._data_grid(x, y), args["depth_cap"],
+                                  args["m_lo"], args["m_hi"], tol)(k)
+            assert repr(got[0]) == repr(tree), (change, k)
+            const = y.size * (-0.5 * math.log(2.0 * math.pi) - math.log(args["sigma"]))
+            assert got[1] == const - sse / (2.0 * args["sigma"] ** 2), (change, k)
+        assert len(dp_builds) == 2, change
+
+    @pytest.mark.parametrize("change", ["target", "m_lo", "m_hi", "depth_cap"])
+    def test_population_key_misses(self, dp_builds, change):
+        target = Split(1, 0.5, Split(2, 0.3, Leaf(-1.5), Leaf(-0.5)), Leaf(1.0))
+        args = dict(depth_cap=2, m_lo=-2.0, m_hi=2.0)
+        guillotine.fit_tree_population(target, 3, **args)
+        assert guillotine.minimal_leaf_count(target, **args) == 3
+        assert len(dp_builds) == 1
+        if change == "target":
+            target = Split(1, 0.5, Split(2, 0.3, Leaf(-1.5), Leaf(-0.4)), Leaf(1.0))
+        else:
+            args[change] = {"m_lo": -1.0, "m_hi": 0.5, "depth_cap": 1}[change]
+        for k in (3, 2):
+            got = guillotine.fit_tree_population(target, k, **args)
+            tree, sse = _FRESH_DP(*guillotine._target_grid(target), args["depth_cap"],
+                                  args["m_lo"], args["m_hi"], 1e-15)(k)
+            assert (repr(got[0]), got[1]) == (repr(tree), sse), (change, k)
+        assert len(dp_builds) == 2, change
+
+
 def _coordinate_descent_logliks(sample, config, k_top):
     """The VR profile log-likelihoods by warm-started coordinate descent on each
     leading block of the Gram matrix, to tolerance 1e-12, dips repaired."""
@@ -790,6 +931,47 @@ class TestProfile:
             if tight:
                 tight_sweeps += sum(e.iterations for e in prof.entries)
         assert tight_sweeps > 0  # a binding bound must reach the coordinate descent
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", ["n=1", "n=2", "duplicates", "x=0.5", "K>n", "constant y",
+                                      "y=+1e6", "y=-1e6"])
+    @pytest.mark.parametrize("box", [(-2.0, 2.0), (-0.25, 0.25)])
+    def test_adversarial_vr_profiles(self, case, box):
+        rng = rng_for(62)
+        x = rng.uniform(0.0, 1.0, 12)
+        y = vr_basis_matrix(x, 2) @ np.array([1.0, 0.5]) + rng.standard_normal(12)
+        if case == "n=1":
+            x, y = x[:1], y[:1]
+        elif case == "n=2":
+            x, y = x[:2], y[:2]
+        elif case == "duplicates":
+            x, y = np.repeat(np.round(x[:4], 1), 3), y
+        elif case == "x=0.5":  # the first basis column is ~1e-16 there
+            x = np.where(np.arange(12) % 2, 0.5, x)
+        elif case == "K>n":
+            x, y = x[:3], y[:3]
+        elif case == "constant y":
+            y = np.full(12, 0.7)
+        else:
+            y = np.full(12, float(case[2:])) + rng.standard_normal(12)
+        config = ModelConfig(Family.VR, sigma=1.0, m_lo=box[0], m_hi=box[1])
+        sample = Sample(Family.VR, np.column_stack([x, y]), seed=0, n=y.size)
+        prof = profile(sample, config, 5)
+        basis = vr_basis_matrix(x, 5)
+        gram, b = basis.T @ basis, basis.T @ y
+        lls = []
+        for k in range(1, 6):
+            entry = prof.result(k)
+            coeffs = np.asarray(entry.theta.coeffs)
+            assert coeffs.shape == (k,) and np.isfinite(coeffs).all(), (case, k)
+            assert ((box[0] <= coeffs) & (coeffs <= box[1])).all(), (case, k, coeffs)
+            assert entry.loglik == pytest.approx(
+                log_likelihood(config, entry.theta, sample), rel=1e-9, abs=1e-9), (case, k)
+            head, _, _ = _box_qp(gram[:k, :k], b[:k], np.zeros(k), box[0], box[1], 1e-12)
+            oracle = log_likelihood(config, ThetaVR(tuple(head)), sample)
+            assert entry.loglik == pytest.approx(oracle, rel=1e-9, abs=1e-9), (case, k)
+            lls.append(entry.loglik)
+        assert all(b >= a for a, b in zip(lls, lls[1:])), (case, lls)
 
     def test_profile_csv(self):
         s = simulate(VR, ThetaVR((1.0,)), 30, seed=2)

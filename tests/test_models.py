@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.special import logsumexp
 
 from orderest import (
@@ -369,6 +369,41 @@ def samples(draw):
     return Sample(family, points, draw(st.integers()), n)
 
 
+# AC trees of depth <= 4: st.recursive draws the shape, the marks, and where
+# each cut falls in its cell as a share of the cell's side
+TREE_SHAPES = st.recursive(
+    FINITE.map(Leaf),
+    lambda kids: st.tuples(st.sampled_from([1, 2]),
+                           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), kids, kids),
+    max_leaves=16)
+
+
+def _placed_tree(shape, box=(0.0, 1.0, 0.0, 1.0), depth=4):
+    """The tree of a drawn shape, each cut at its share of its cell's side.  A
+    split below depth 4, or one whose cut rounds onto its cell's edge, gives
+    way to its low subtree."""
+    if isinstance(shape, Leaf):
+        return shape
+    axis, share, low, high = shape
+    lo, hi = box[2 * axis - 2:2 * axis]
+    cut = lo + share * (hi - lo)
+    if depth == 0 or not lo < cut < hi:
+        return _placed_tree(low, box, depth)
+    low_box, high_box = list(box), list(box)
+    low_box[2 * axis - 1] = high_box[2 * axis - 2] = cut
+    return Split(axis, cut, _placed_tree(low, tuple(low_box), depth - 1),
+                 _placed_tree(high, tuple(high_box), depth - 1))
+
+
+def _full_shape(depth, i=1):
+    """A full shape of the given depth: alternating axes, cuts at a third of
+    each cell, marks from 0.1 * i (most need 17 digits) and one -0.0."""
+    if depth == 0:
+        return Leaf(-0.0 if i == 16 else 0.1 * i)
+    return (1 + depth % 2, 1.0 / 3.0, _full_shape(depth - 1, 2 * i),
+            _full_shape(depth - 1, 2 * i + 1))
+
+
 class TestSerializationProperties:
     @given(configs())
     def test_config_round_trip(self, config):
@@ -378,6 +413,14 @@ class TestSerializationProperties:
         lambda c: ThetaVR(tuple(c)))))
     def test_theta_round_trip(self, theta):
         assert theta_from_kv(theta_to_kv(theta)) == theta
+
+    @given(TREE_SHAPES.map(_placed_tree))
+    # the ci profile's 50 draws reach depth 3 only; one full depth-4 tree
+    @example(_placed_tree(_full_shape(4)))
+    def test_ac_theta_round_trip(self, tree):
+        theta = ThetaAC(tree)
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(theta_from_kv(theta_to_kv(theta))) == repr(theta)
 
     @given(samples())
     def test_sample_csv_round_trip(self, s):
