@@ -7,8 +7,9 @@ Modules:
 - fitting: per-family maximum likelihood (EM / box-constrained least
   squares / guillotine-tree DP) and the per-K profile curve.
 - criterion: penalty schedules pen(n, K) = v_n D(K), the penalized criterion,
-  the first-local-max and smallest-global-max order estimators, and the
-  finite-grid schedule diagnostics.
+  the first-local-max and smallest-global-max order estimators (both read by
+  estimate_orders), how far a profile must reach for them (scan_top), and
+  the finite-grid schedule diagnostics.
 - entropy: relative entropies, projections onto the classes in both
   directions, and the projection characterizations.
 - deviations: Monte Carlo / importance-sampling error probabilities, exponent
@@ -28,9 +29,8 @@ from .fitting import (  # noqa: F401
     FitResult, ProfileCurve, fit_ac, fit_k, fit_lm_em, fit_vr, profile,
 )
 from .criterion import (  # noqa: F401
-    OrderEstimate, PenaltySchedule, ScheduleReport, crit, dim_weights,
-    estimate_order_global, estimate_order_local, estimate_orders, linear_weights,
-    parse_schedule, validate_schedule,
+    OrderEstimate, PenaltySchedule, ScheduleReport, dim_weights, estimate_orders,
+    linear_weights, parse_schedule, validate_schedule,
 )
 from .entropy import (  # noqa: F401
     EntropyValue, kl_divergence, kl_mixture_quadrature, kl_regression,

@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .criterion import crit, estimate_orders
+from .criterion import estimate_orders, scan_top
 from .deviations import ESTIMATORS
 from .experiments import (
     MODES, RUN_KEYS, ExperimentSpec, _spec_fields, entropy_table, report_invariants, run,
@@ -56,11 +56,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     spec = _load_spec(args)
+    k_top = args.k if args.k is not None else args.k_top or scan_top(spec.k_max)
+    spec.check_reach(k_top, "orderest fit")
     sample = _load_sample(args, spec)
     if args.k is not None:
         content = fits_csv([(args.k, fit_k(sample, args.k, spec.config))])
     else:
-        content = profile(sample, spec.config, args.k_top or spec.k_max + 1).to_csv()
+        content = profile(sample, spec.config, k_top).to_csv()
     out = Path(args.out or Path(spec.output_dir) / "fit.csv")
     write_artifact(out, content, spec.to_text(), "orderest fit")
     print(f"wrote {out}")
@@ -69,14 +71,15 @@ def cmd_fit(args) -> int:
 
 def cmd_order(args) -> int:
     spec = _load_spec(args)
+    k_top = scan_top(spec.k_max)
+    spec.check_reach(k_top, "orderest order")
     sample = _load_sample(args, spec)
     schedule = spec.schedule()
-    prof = profile(sample, spec.config, spec.k_max + 1)
+    prof = profile(sample, spec.config, k_top)
     est = estimate_orders(prof, schedule, sample.n, spec.k_max)
-    values = crit(prof, schedule, sample.n)
     content = csv_text("K,loglik,penalty,crit",
-                       ((k, prof.loglik(k), schedule.penalty(sample.n, k), values[k])
-                        for k in sorted(values)))
+                       ((k, prof.loglik(k), schedule.penalty(sample.n, k), crit)
+                        for k, crit in sorted(est.crit_values.items())))
     out = Path(args.out or Path(spec.output_dir) / "order.csv")
     write_artifact(out, content, spec.to_text(), "orderest order")
     print(f"k_local={est.k_local} k_global={est.k_global} "
@@ -86,7 +89,9 @@ def cmd_order(args) -> int:
 
 def cmd_entropy(args) -> int:
     spec = _load_spec(args)
-    print(entropy_table(spec, args.k_top or spec.k_max), end="")
+    k_top = args.k_top or spec.k_max
+    spec.check_reach(k_top, "orderest entropy")
+    print(entropy_table(spec, k_top), end="")
     return 0
 
 

@@ -5,6 +5,9 @@ local estimator returns the first K whose criterion does not increase at
 K+1; the global estimator returns the smallest argmax over 1..K_max.  Ties
 within 1e-12 count as equal in both, which keeps the two estimators
 deterministic and preserves k_global >= k_local on a common scan range.
+estimate_orders() reads both from one crit_values() map, so every profile
+must reach scan_top(K_max, K_scan_max) = max(K_max, K_scan_max + 1), the one
+rule for how far a trial, CLI profile or spec schedule reaches.
 
 validate_schedule() checks a named growth regime's conditions on finite
 grids (a diagnostic, not a proof):
@@ -62,12 +65,12 @@ class PenaltySchedule:
         if self.form not in V_FORMS:
             raise UsageError(f"unknown penalty form {self.form!r}")
         if self.form == "power" and not (self.delta is not None and 0.0 < self.delta < 1.0):
-            raise UsageError("power form needs delta in (0, 1)")
-        if self.form == "logpower" and not (self.eps is not None and self.eps > 0.0):
-            raise UsageError("logpower form needs eps > 0")
+            raise UsageError(f"power form needs delta in (0, 1), got {self.delta}")
+        if self.form == "logpower" and not (self.eps is not None and 0.0 < self.eps < math.inf):
+            raise UsageError(f"logpower form needs a finite eps > 0, got {self.eps}")
         d = tuple(float(v) for v in self.d)
-        if len(d) < 1 or any(v <= 0.0 for v in d):
-            raise UsageError("D must be a nonempty sequence of positive weights")
+        if len(d) < 1 or not all(0.0 < v < math.inf for v in d):
+            raise UsageError(f"D must be a nonempty sequence of positive finite weights, got {d}")
         if any(b <= a for a, b in zip(d, d[1:])):
             raise UsageError("D must be strictly increasing")
         object.__setattr__(self, "d", d)
@@ -104,6 +107,13 @@ def linear_weights(k_max: int, scale: float = 1.0) -> tuple[float, ...]:
     return tuple(scale * k for k in range(1, k_max + 1))
 
 
+def _number(text: str, token: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError(f"bad number {text!r} in schedule token {token!r}") from None
+
+
 def parse_schedule(text: str, family: Family | None, k_max: int) -> PenaltySchedule:
     """Parse a schedule spec string, e.g. "power:0.25 D=dim" or "bic D=linear*0.5".
 
@@ -121,11 +131,11 @@ def parse_schedule(text: str, family: Family | None, k_max: int) -> PenaltySched
     if form == "power":
         if not param:
             raise UsageError("power form needs a delta, e.g. power:0.25")
-        delta = float(param)
+        delta = _number(param, head)
     elif form == "logpower":
         if not param:
             raise UsageError("logpower form needs an eps, e.g. logpower:0.1")
-        eps = float(param)
+        eps = _number(param, head)
     elif param:
         raise UsageError(f"form {form!r} takes no parameter")
     d_spec = "dim"
@@ -135,7 +145,7 @@ def parse_schedule(text: str, family: Family | None, k_max: int) -> PenaltySched
         else:
             raise UsageError(f"unrecognized schedule token {extra!r}")
     base, _, scale_txt = d_spec.partition("*")
-    scale = float(scale_txt) if scale_txt else 1.0
+    scale = _number(scale_txt, "D=" + d_spec) if scale_txt else 1.0
     if base == "dim":
         if family is None:
             raise UsageError("D=dim needs the model family")
@@ -152,45 +162,10 @@ def parse_schedule(text: str, family: Family | None, k_max: int) -> PenaltySched
 # ---------------------------------------------------------------------------
 
 def crit_values(logliks: dict[int, float], schedule: PenaltySchedule, n: int) -> dict[int, float]:
+    """crit(n, K) = sup-loglik(K) - pen(n, K) for every K of logliks."""
     if max(logliks) > schedule.k_cap:
         raise UsageError(f"profile reaches K={max(logliks)} but D stops at {schedule.k_cap}")
     return {k: ll - schedule.penalty(n, k) for k, ll in logliks.items()}
-
-
-def crit(profile: ProfileCurve, schedule: PenaltySchedule, n: int) -> dict[int, float]:
-    """crit(n, K) = sup-loglik(K) - pen(n, K) for every K the profile covers."""
-    return crit_values(profile.logliks(), schedule, n)
-
-
-def _local_from_crit(values: dict[int, float], k_scan_max: int) -> tuple[int, bool]:
-    for k in range(1, k_scan_max + 1):
-        if values[k] >= values[k + 1] - TIE_TOL:
-            return k, False
-    return k_scan_max, True
-
-
-def _global_from_crit(values: dict[int, float], k_max: int) -> int:
-    best = max(values[k] for k in range(1, k_max + 1))
-    for k in range(1, k_max + 1):
-        if values[k] >= best - TIE_TOL:
-            return k
-    raise AssertionError("unreachable")
-
-
-def estimate_order_local(profile: ProfileCurve, schedule: PenaltySchedule, n: int,
-                         k_scan_max: int) -> int:
-    """First K with crit(n, K) >= crit(n, K+1); K_scan_max when none in range."""
-    if profile.k_top < k_scan_max + 1:
-        raise UsageError(f"local scan to {k_scan_max} needs the profile up to K={k_scan_max + 1}")
-    return _local_from_crit(crit(profile, schedule, n), k_scan_max)[0]
-
-
-def estimate_order_global(profile: ProfileCurve, schedule: PenaltySchedule, n: int,
-                          k_max: int) -> int:
-    """Smallest K attaining the maximal criterion over 1..K_max (ties downward)."""
-    if profile.k_top < k_max:
-        raise UsageError(f"global scan to {k_max} needs the profile up to K={k_max}")
-    return _global_from_crit(crit(profile, schedule, n), k_max)
 
 
 @dataclass(frozen=True)
@@ -201,17 +176,27 @@ class OrderEstimate:
     scan_cap_hit: bool
 
 
+def scan_top(k_max: int, k_scan_max: int | None = None) -> int:
+    """The largest K whose crit the estimators read: k_max for the global one,
+    k_scan_max + 1 for the local one (k_scan_max defaults to k_max)."""
+    return max(k_max, (k_max if k_scan_max is None else k_scan_max) + 1)
+
+
 def estimate_orders(profile: ProfileCurve, schedule: PenaltySchedule, n: int,
                     k_max: int, k_scan_max: int | None = None) -> OrderEstimate:
-    """Both estimators over a shared criterion map."""
+    """The local estimator (first K <= k_scan_max with crit(K) >= crit(K+1),
+    else k_scan_max) and the global one (smallest argmax of crit over 1..k_max)."""
     k_scan_max = k_max if k_scan_max is None else k_scan_max
-    if profile.k_top < max(k_max, k_scan_max + 1):
-        raise UsageError("profile does not cover the requested scan range")
-    values = crit(profile, schedule, n)
-    k_local, cap_hit = _local_from_crit(values, k_scan_max)
-    k_global = _global_from_crit(values, k_max)
-    return OrderEstimate(k_local=k_local, k_global=k_global,
-                         crit_values=values, scan_cap_hit=cap_hit)
+    k_top = scan_top(k_max, k_scan_max)
+    if profile.k_top < k_top:
+        raise UsageError(f"the scan needs the profile up to K={k_top}, not {profile.k_top}")
+    values = crit_values(profile.logliks(), schedule, n)
+    k_local = next((k for k in range(1, k_scan_max + 1)
+                    if values[k] >= values[k + 1] - TIE_TOL), None)
+    best = max(values[k] for k in range(1, k_max + 1))
+    k_global = next(k for k in range(1, k_max + 1) if values[k] >= best - TIE_TOL)
+    return OrderEstimate(k_local=k_local or k_scan_max, k_global=k_global,
+                         crit_values=values, scan_cap_hit=k_local is None)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import PenaltySchedule, estimate_orders
+from .criterion import PenaltySchedule, estimate_orders, scan_top
 from .entropy import kl_divergence, project_entropy
 from .fitting import fit_k, profile
 from .models import (
-    Family, ModelConfig, Sample, Theta, UsageError, derive_seed, embed,
+    Family, ModelConfig, Sample, Theta, UsageError, derive_seed,
     log_likelihood, logsumexp_rows, mixture_log_components, random_theta, rng_for,
     simulate, true_order,
 )
@@ -91,11 +91,11 @@ def _resolve_k_star(config: ModelConfig, theta_star: Theta, k_star: int | None) 
 
 
 def _trial(config: ModelConfig, theta: Theta, schedule: PenaltySchedule, n: int,
-           seed: int, t: int, k_max: int, k_scan_max: int) -> tuple[Sample, int, int]:
+           seed: int, t: int, k_max: int, k_scan_max: int | None) -> tuple[Sample, int, int]:
     """Trial t: simulate from theta, profile, estimate.  Returns (sample,
     k_local, k_global); depends only on (seed, t)."""
     sample = simulate(config, theta, n, derive_seed(seed, _TRIAL_STREAM, t))
-    prof = profile(sample, config, max(k_max, k_scan_max + 1))
+    prof = profile(sample, config, scan_top(k_max, k_scan_max))
     est = estimate_orders(prof, schedule, n, k_max, k_scan_max)
     return sample, est.k_local, est.k_global
 
@@ -106,7 +106,6 @@ def order_trials(config: ModelConfig, theta_star: Theta, schedule: PenaltySchedu
     """(trials, 2) array of (k_local, k_global), rows indexed by trial."""
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    k_scan_max = k_max if k_scan_max is None else k_scan_max
     out = np.empty((trials, 2), dtype=np.int64)
     for i, t in enumerate(range(first_trial, first_trial + trials)):
         out[i] = _trial(config, theta_star, schedule, n, seed, t, k_max, k_scan_max)[1:]
@@ -178,7 +177,6 @@ def is_underestimation_prob(config: ModelConfig, theta_star: Theta, theta0: Thet
         _, theta0 = project_entropy(config, theta_star, k_star - 1, return_argmin=True)
     if true_order(config, theta0) > k_star - 1:
         raise UsageError("theta0 must lie in the (K*-1)-th class")
-    k_scan_max = k_max if k_scan_max is None else k_scan_max
     logw = np.empty(trials)
     khat = np.empty(trials, dtype=np.int64)
     for t in range(trials):
@@ -290,18 +288,8 @@ def peeling_assert(sample: Sample, config: ModelConfig, k1: int, k2: int,
     n = sample.n
     if n < 1:
         raise UsageError("need a nonempty sample")
-    extra = None
-    if config.family is Family.LM:
-        emb1 = embed(config, theta_star, k1)
-        extra = [(emb1.weights, emb1.means)]
-    fit1 = fit_k(sample, k1, config, extra_inits=extra)
-    if k1 == k2:
-        fit2 = fit1
-    else:
-        if config.family is Family.LM:
-            emb2 = embed(config, fit1.theta, k2)
-            extra = [(emb2.weights, emb2.means)]
-        fit2 = fit_k(sample, k2, config, extra_inits=extra)
+    fit1 = fit_k(sample, k1, config, warm=theta_star)
+    fit2 = fit1 if k1 == k2 else fit_k(sample, k2, config, warm=fit1.theta)
     # sup over the K1-th class must dominate ell_n(theta*) for the algebra below
     ll_star = log_likelihood(config, theta_star, sample)
     ll1 = max(fit1.loglik, ll_star)
@@ -354,12 +342,7 @@ def slln_trace(config: ModelConfig, theta_star: Theta, k: int, n_grid,
     out = []
     for n in n_grid:
         sub = full.head(n)
-        extra = None
-        if config.family is Family.LM and k >= k_star:
-            emb = embed(config, theta_star, k)
-            extra = [(emb.weights, emb.means)]
-        res = fit_k(sub, k, config, extra_inits=extra)
-        ll = res.loglik
+        ll = fit_k(sub, k, config, warm=theta_star if k >= k_star else None).loglik
         if k >= k_star:  # theta* is feasible, the supremum cannot fall below it
             ll = max(ll, log_likelihood(config, theta_star, sub))
         value = (ll - log_likelihood(config, theta_star, sub)) / n

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .criterion import PenaltySchedule, parse_schedule, validate_schedule
+from .criterion import PenaltySchedule, parse_schedule, scan_top, validate_schedule
 from .deviations import (
     ESTIMATORS, FitError, fit_exponent, fit_moderate_rate,
     is_underestimation_prob, mc_error_probs, peeling_assert,
@@ -90,19 +90,23 @@ class ExperimentSpec:
             raise UsageError("k_max must be >= 1")
         # fail here, not mid-campaign
         validate_theta(self.config, self.theta_star)
-        if self.config.family is Family.AC and self.mode != "invariants":
-            # the MC modes profile K = 1..k_max + 1, the entropy table K = 1..k_max
-            k_top = self.k_max + (self.mode != "entropy_table")
-            depth = self.config.ac_depth_max
-            if k_top > 2 ** depth:
-                raise UsageError(
-                    f"mode={self.mode} fits K up to {k_top} (k_max = {self.k_max}), but a tree "
-                    f"of ac_depth_max = {depth} has at most {2 ** depth} leaves")
+        if self.mode != "invariants":  # the entropy table fits K = 1..k_max
+            self.check_reach(self.k_max if self.mode == "entropy_table"
+                             else scan_top(self.k_max), f"mode={self.mode}")
         self.schedule()
 
+    def check_reach(self, k_top: int, what: str) -> None:
+        """Fail unless the model can fit K = 1..k_top (an AC tree has at most
+        2**ac_depth_max leaves); what names the mode or command that fits them."""
+        depth = self.config.ac_depth_max
+        if self.config.family is Family.AC and k_top > 2 ** depth:
+            raise UsageError(
+                f"{what} fits K up to {k_top} (k_max = {self.k_max}), but a tree "
+                f"of ac_depth_max = {depth} has at most {2 ** depth} leaves")
+
     def schedule(self) -> PenaltySchedule:
-        # the local scan needs crit at K_scan_max + 1 = k_max + 1
-        return parse_schedule(self.schedule_spec, self.config.family, self.k_max + 1)
+        # D must reach every K the estimators read
+        return parse_schedule(self.schedule_spec, self.config.family, scan_top(self.k_max))
 
     def to_text(self) -> str:
         theta = "".join("theta." + line

@@ -25,10 +25,10 @@
   block, profile() for all of K = 1..K_top from one basis.
 - AC: exact dynamic programming over guillotine trees (see guillotine.py).
 
-fit_k() dispatches a single-K fit by family.  profile() fits K = 1..K_top,
-warm-starting each level from the embedded previous solution, and enforces
-the nestedness property that the maximized log-likelihood never decreases
-in K.
+fit_k() dispatches a single-K fit by family; its warm= parameter of a class
+<= K is embedded into the K-th class as LM's first EM start, the one warm
+start rule.  profile() fits K = 1..K_top, warm from the previous level, and
+enforces that the maximized log-likelihood never decreases in K.
 """
 
 from __future__ import annotations
@@ -394,10 +394,12 @@ def fit_ac(sample: Sample, k: int, config: ModelConfig) -> FitResult:
 
 
 def fit_k(sample: Sample, k: int, config: ModelConfig,
-          extra_inits: list | None = None) -> FitResult:
-    """Family dispatch for a single-K fit; extra_inits are extra LM EM starts."""
+          warm: Theta | None = None) -> FitResult:
+    """Family dispatch for a single-K fit; warm, a parameter of a class <= K,
+    is embedded as LM's first EM start (the exact VR and AC fits ignore it)."""
     if config.family is Family.LM:
-        return fit_lm_em(sample, k, config, extra_inits=extra_inits)
+        emb = None if warm is None else embed(config, warm, k)
+        return fit_lm_em(sample, k, config, extra_inits=emb and [(emb.weights, emb.means)])
     if config.family is Family.VR:
         return fit_vr(sample, k, config)
     return fit_ac(sample, k, config)
@@ -430,11 +432,7 @@ def profile(sample: Sample, config: ModelConfig, k_top: int) -> ProfileCurve:
     else:
         prev: FitResult | None = None
         for k in range(1, k_top + 1):
-            extra = None
-            if config.family is Family.LM and prev is not None:
-                emb = embed(config, prev.theta, k)
-                extra = [(emb.weights, emb.means)]
-            prev = fit_k(sample, k, config, extra_inits=extra)
+            prev = fit_k(sample, k, config, warm=prev and prev.theta)
             entries.append(prev)
 
     # nestedness: replace any dip with the embedded previous solution

@@ -189,3 +189,50 @@ def test_flags_can_mend_a_spec_file(tmp_path):
     path.write_text(AC_SPEC.format(out=tmp_path / "out"))
     assert main(["campaign", "--spec", str(path), "--k-max", "1"]) == 0
     assert (tmp_path / "out" / "consistency_results.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["campaign"], ["order", "--sample", "missing.csv"]],
+                         ids=["campaign", "order"])
+@pytest.mark.parametrize("schedule, message", [
+    ("bic D=dim*nan", "finite weights, got (nan, nan, nan, nan)"),
+    ("logpower:inf", "needs a finite eps > 0, got inf"),
+    ("power:abc", "bad number 'abc' in schedule token 'power:abc'"),
+], ids=["nan-weight", "inf-eps", "bad-number"])
+def test_non_finite_schedule_exits_2(command, schedule, message, spec_file, tmp_path, capsys):
+    assert main([command[0], "--spec", spec_file, "--schedule", schedule, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, k", [
+    (["order", "--sample", "missing.csv"], 3),
+    (["fit", "--sample", "missing.csv"], 3),
+    (["fit", "--sample", "missing.csv", "--k-top", "4"], 4),
+    (["fit", "--sample", "missing.csv", "--k", "3"], 3),
+    (["entropy", "--k-top", "3"], 3),
+], ids=["order", "fit", "fit-k-top", "fit-k", "entropy-k-top"])
+def test_each_command_checks_its_own_ac_reach(argv, k, tmp_path, capsys):
+    # the entropy table of k_max = 2 fits a depth-1 tree, but order and the
+    # default fit profile to K = 3: each command checks the K it will fit,
+    # before the sample is read (missing.csv does not exist)
+    path = tmp_path / "ac.spec"
+    path.write_text(AC_SPEC.format(out=tmp_path / "out").replace(
+        "mode = consistency", "mode = entropy_table"))
+    assert main([argv[0], "--spec", str(path), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: orderest {argv[0]} fits K up to {k} (k_max = 2), ")
+    assert "ac_depth_max = 1 has at most 2 leaves" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_ac_fit_within_reach_runs(tmp_path):
+    path = tmp_path / "ac.spec"
+    path.write_text(AC_SPEC.format(out=tmp_path / "out").replace(
+        "mode = consistency", "mode = entropy_table"))
+    sample = tmp_path / "sample.csv"
+    assert main(["simulate", "--spec", str(path), "--out", str(sample)]) == 0
+    fit = tmp_path / "fit.csv"
+    assert main(["fit", "--spec", str(path), "--sample", str(sample), "--k-top", "2",
+                 "--out", str(fit)]) == 0
+    assert len(fit.read_text().splitlines()) == 3

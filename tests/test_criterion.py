@@ -1,15 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from orderest import (
-    Family, FitResult, PenaltySchedule, ThetaVR, UsageError, crit, dim_weights,
-    estimate_order_global, estimate_order_local, estimate_orders, linear_weights,
-    parse_schedule, validate_schedule,
+    Family, FitResult, PenaltySchedule, ThetaVR, UsageError, dim_weights, estimate_orders,
+    linear_weights, parse_schedule, validate_schedule,
 )
-from orderest.criterion import loglog
+from orderest.criterion import crit_values, loglog, scan_top
 from orderest.fitting import ProfileCurve
 
 
@@ -52,6 +52,16 @@ class TestPenalty:
         with pytest.raises(UsageError):
             PenaltySchedule(form="power", d=(1.0, 2.0), delta=1.5)
 
+    @pytest.mark.parametrize("form, kw, message", [
+        ("bic", dict(d=(math.nan, 2.0)), "positive finite weights"),
+        ("bic", dict(d=(1.0, math.inf)), "positive finite weights"),
+        ("power", dict(d=(1.0, 2.0), delta=math.nan), "delta in \\(0, 1\\), got nan"),
+        ("logpower", dict(d=(1.0, 2.0), eps=math.inf), "finite eps > 0, got inf"),
+    ])
+    def test_non_finite_parameters_rejected(self, form, kw, message):
+        with pytest.raises(UsageError, match=message):
+            PenaltySchedule(form=form, **kw)
+
     def test_weights(self):
         assert dim_weights(Family.LM, 3) == (1.0, 3.0, 5.0)
         assert dim_weights(Family.VR, 3) == (1.0, 2.0, 3.0)
@@ -89,19 +99,31 @@ class TestParseSchedule:
         with pytest.raises(UsageError):
             parse_schedule("bic X=dim", Family.VR, 3)
 
+    @pytest.mark.parametrize("text, message", [
+        ("bic D=dim*nan", "finite weights, got (nan, nan, nan)"),
+        ("bic D=linear*inf", "finite weights, got (inf, inf, inf)"),
+        ("logpower:inf", "needs a finite eps > 0, got inf"),
+        ("power:nan", "needs delta in (0, 1), got nan"),
+        ("power:abc", "bad number 'abc' in schedule token 'power:abc'"),
+        ("logpower:0.1 D=dim*x2", "bad number 'x2' in schedule token 'D=dim*x2'"),
+    ])
+    def test_bad_numbers_named(self, text, message):
+        with pytest.raises(UsageError, match=re.escape(message)):
+            parse_schedule(text, Family.LM, 3)
+
 
 class TestCrit:
     def test_tiny_penalty_recovers_profile(self):
         prof = make_profile([10.0, 12.0, 12.5])
         sched = schedule_with((1e-300, 2e-300, 3e-300))
-        values = crit(prof, sched, 100)
+        values = crit_values(prof.logliks(), sched, 100)
         for k in (1, 2, 3):
             assert values[k] == pytest.approx(prof.loglik(k), abs=1e-9)
 
     def test_constant_profile_decreasing_crit(self):
         prof = make_profile([5.0, 5.0, 5.0])
         sched = schedule_with((1.0, 2.0, 3.0))
-        values = crit(prof, sched, 100)
+        values = crit_values(prof.logliks(), sched, 100)
         assert values[1] > values[2] > values[3]
 
     def test_hand_built_example(self):
@@ -109,7 +131,7 @@ class TestCrit:
         prof = make_profile([10.0, 12.0, 12.5])
         sched = schedule_with((1.0 / math.log(100), 2.0 / math.log(100),
                                3.0 / math.log(100)))
-        values = crit(prof, sched, 100)
+        values = crit_values(prof.logliks(), sched, 100)
         assert values[1] == pytest.approx(9.0, abs=1e-12)
         assert values[2] == pytest.approx(10.0, abs=1e-12)
         assert values[3] == pytest.approx(9.5, abs=1e-12)
@@ -124,11 +146,11 @@ class TestEstimators:
         self.prof = make_profile([10.0, 12.0, 12.5], n=self.n)
 
     def test_first_local_max(self):
-        assert estimate_order_local(self.prof, self.sched, self.n, 2) == 2
+        assert estimate_orders(self.prof, self.sched, self.n, 2, 2).k_local == 2
 
     def test_decreasing_crit_gives_one(self):
         prof = make_profile([5.0, 5.0, 5.0])
-        assert estimate_order_local(prof, self.sched, self.n, 2) == 1
+        assert estimate_orders(prof, self.sched, self.n, 2, 2).k_local == 1
 
     def test_increasing_crit_hits_cap(self):
         prof = make_profile([0.0, 10.0, 20.0])
@@ -136,23 +158,27 @@ class TestEstimators:
         assert est.k_local == 2 and est.scan_cap_hit
 
     def test_global_smallest_argmax(self):
-        assert estimate_order_global(self.prof, self.sched, self.n, 3) == 2
+        assert estimate_orders(self.prof, self.sched, self.n, 3, 2).k_global == 2
 
     def test_global_tie_goes_down(self):
         scale = 1.0 / math.log(self.n)
         sched = schedule_with((scale, 2 * scale, 3 * scale))
         prof = make_profile([2.0, 2.0 + 1.0, 2.0 + 2.0])  # crit = (1, 1, 1), exact ties
-        assert estimate_order_global(prof, sched, self.n, 3) == 1
+        assert estimate_orders(prof, sched, self.n, 3, 2).k_global == 1
 
     def test_global_ties_at_one_and_three(self):
         scale = 1.0 / math.log(self.n)
         sched = schedule_with((scale, 2 * scale, 3 * scale))
         prof = make_profile([3.0, 3.0, 5.0])  # crit = (2, 1, 2): exact ties at K=1, 3
-        assert estimate_order_global(prof, sched, self.n, 3) == 1
+        assert estimate_orders(prof, sched, self.n, 3, 2).k_global == 1
 
     def test_requires_coverage(self):
-        with pytest.raises(UsageError):
-            estimate_order_local(self.prof, self.sched, self.n, 3)
+        # the local scan to 3 reads crit at K = 4; the profile stops at 3
+        assert scan_top(2, 3) == 4 and scan_top(3) == 4 and scan_top(3, 1) == 3
+        with pytest.raises(UsageError, match="up to K=4"):
+            estimate_orders(self.prof, self.sched, self.n, 2, 3)
+        with pytest.raises(UsageError, match="up to K=4"):
+            estimate_orders(self.prof, self.sched, self.n, 3)
 
     @given(st.lists(st.floats(-50, 50), min_size=4, max_size=8),
            st.sampled_from(["bic", "power", "iterlog"]))
@@ -177,7 +203,7 @@ class TestEstimators:
         prof = make_profile([3.0, 3.0, 3.0])
         for lam in (1e-6, 1.0, 1e6):
             sched = schedule_with((lam, 2 * lam, 3 * lam))
-            assert estimate_order_global(prof, sched, self.n, 3) == 1
+            assert estimate_orders(prof, sched, self.n, 3, 2).k_global == 1
 
     def test_larger_gaps_weakly_decrease_k_global(self):
         prof = make_profile([0.0, 4.0, 6.0, 7.0])
@@ -186,7 +212,7 @@ class TestEstimators:
         previous = None
         for gap in (0.5, 1.0, 2.0, 4.0, 8.0):
             sched = schedule_with(tuple(scale * gap * k for k in (1, 2, 3, 4)))
-            k_g = estimate_order_global(prof, sched, n, 4)
+            k_g = estimate_orders(prof, sched, n, 4, 3).k_global
             if previous is not None:
                 assert k_g <= previous
             previous = k_g

@@ -12,7 +12,7 @@ from orderest import deviations
 from orderest.deviations import tally_orders
 from orderest.fitting import fit_k
 from orderest.models import (
-    Leaf, Split, ThetaAC, derive_seed, embed, log_likelihood, random_theta, rng_for,
+    Leaf, Split, ThetaAC, derive_seed, log_likelihood, random_theta, rng_for,
 )
 
 LM = ModelConfig(Family.LM, sigma=1.0)
@@ -189,10 +189,8 @@ class TestExponentFits:
 def per_probe_peeling(sample, config, k1, k2, theta_star, n_probes, tol, seed):
     """peeling_assert for K* <= K1 < K2 on LM, one log_likelihood call per probe."""
     n = sample.n
-    emb1 = embed(config, theta_star, k1)
-    fit1 = fit_k(sample, k1, config, extra_inits=[(emb1.weights, emb1.means)])
-    emb2 = embed(config, fit1.theta, k2)
-    fit2 = fit_k(sample, k2, config, extra_inits=[(emb2.weights, emb2.means)])
+    fit1 = fit_k(sample, k1, config, warm=theta_star)
+    fit2 = fit_k(sample, k2, config, warm=fit1.theta)
     ll_star = log_likelihood(config, theta_star, sample)
     right = (fit2.loglik - max(fit1.loglik, ll_star)) / n
     rng = rng_for(seed, deviations._PROBE_STREAM)

@@ -882,6 +882,35 @@ def _coordinate_descent_logliks(sample, config, k_top):
     return list(np.maximum.accumulate(lls))
 
 
+class TestFitKWarm:
+    """fit_k(warm=theta) is fit_lm_em with embed(theta) as its first start on LM,
+    and a no-op on the exact VR and AC fits."""
+
+    @pytest.mark.parametrize("theta, warm, k, seed", [
+        (ThetaLM((1.0,), (0.5,)), ThetaLM((1.0,), (0.5,)), 2, 3),
+        (ThetaLM((0.3, 0.7), (-1.0, 1.5)), ThetaLM((0.3, 0.7), (-1.0, 1.5)), 2, 4),
+        (ThetaLM((0.3, 0.7), (-1.0, 1.5)), ThetaLM((1.0,), (0.2,)), 3, 5),
+        (ThetaLM((0.2, 0.3, 0.5), (-1.5, 0.0, 1.5)), ThetaLM((0.5, 0.5), (-1.0, 1.0)), 4, 6),
+    ])
+    def test_lm_warm_is_the_embedded_first_start(self, theta, warm, k, seed):
+        s = simulate(LM, theta, 90, seed=seed)
+        emb = embed(LM, warm, k)
+        fit = fitting.fit_k(s, k, LM, warm=warm)
+        assert fit == fit_lm_em(s, k, LM, extra_inits=[(emb.weights, emb.means)])
+        assert fit.starts_used == 11
+        assert fitting.fit_k(s, k, LM) == fit_lm_em(s, k, LM)
+
+    @pytest.mark.parametrize("config, theta, warm, k", [
+        (VR, ThetaVR((1.0, 0.5)), ThetaVR((1.0, 0.5)), 3),
+        (VR, ThetaVR((1.0, 0.5)), ThetaVR((-2.0,)), 2),
+        (AC, TWO_CELL, TWO_CELL, 3),
+        (AC, TWO_CELL, ThetaAC(Leaf(0.5)), 2),
+    ])
+    def test_exact_fits_ignore_warm(self, config, theta, warm, k):
+        s = simulate(config, theta, 70, seed=8)
+        assert fitting.fit_k(s, k, config, warm=warm) == fitting.fit_k(s, k, config)
+
+
 class TestProfile:
     def test_k_top_one_matches_fitter(self):
         s = simulate(VR, ThetaVR((1.0,)), 60, seed=2)
