@@ -56,7 +56,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     spec = _load_spec(args)
-    k_top = args.k if args.k is not None else args.k_top or scan_top(spec.k_max)
+    k_top = (args.k if args.k is not None else args.k_top if args.k_top is not None
+             else scan_top(spec.k_max))
     spec.check_reach(k_top, "orderest fit")
     sample = _load_sample(args, spec)
     if args.k is not None:
@@ -89,7 +90,7 @@ def cmd_order(args) -> int:
 
 def cmd_entropy(args) -> int:
     spec = _load_spec(args)
-    k_top = args.k_top or spec.k_max
+    k_top = args.k_top if args.k_top is not None else spec.k_max
     spec.check_reach(k_top, "orderest entropy")
     print(entropy_table(spec, k_top), end="")
     return 0

@@ -96,8 +96,11 @@ class ExperimentSpec:
         self.schedule()
 
     def check_reach(self, k_top: int, what: str) -> None:
-        """Fail unless the model can fit K = 1..k_top (an AC tree has at most
-        2**ac_depth_max leaves); what names the mode or command that fits them."""
+        """Fail unless k_top >= 1 and the model can fit K = 1..k_top (an AC
+        tree has at most 2**ac_depth_max leaves); what names the mode or
+        command that fits them."""
+        if k_top < 1:
+            raise UsageError(f"{what} needs K >= 1, got {k_top}")
         depth = self.config.ac_depth_max
         if self.config.family is Family.AC and k_top > 2 ** depth:
             raise UsageError(
@@ -328,6 +331,11 @@ def run(spec: ExperimentSpec, command: str = "orderest campaign") -> int:
                                         spec.estimator, n, spec.trials, spec.seed,
                                         spec.k_max)
                 for n in spec.n_grid]
+        for r in rows:
+            if r.low_ess:
+                print(f"warning: importance sampling at n={r.n} has effective sample "
+                      f"size {r.ess:.3g} of {r.trials} trials; its p_under is unreliable",
+                      file=sys.stderr)
     else:
         _warn_schedule(spec, "thm3" if spec.mode == "consistency" else "thm10")
         rows = [mc_error_probs(spec.config, spec.theta_star, schedule, spec.estimator,

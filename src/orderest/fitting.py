@@ -19,10 +19,13 @@
 - VR: maximizing the likelihood is a box-constrained least-squares problem.
   _vr_optima solves the normal equations of every requested leading block of
   one Gram matrix in a single batch; a solution inside the box is the exact
-  optimum of the convex quadratic.  Where a bound binds or a block is
-  singular, _box_qp (cyclic coordinate descent with exact clipped coordinate
-  updates) finishes from the previous block's optimum.  fit_vr asks for one
-  block, profile() for all of K = 1..K_top from one basis.
+  optimum of the convex quadratic.  The identity padding and block masks of a
+  set of blocks are built once and kept (_vr_blocks), and when every block's
+  solution lies inside the box _vr_optima returns at once.  Where a bound
+  binds or a block is singular, _box_qp (cyclic coordinate descent with exact
+  clipped coordinate updates) finishes from the previous block's optimum.
+  fit_vr asks for one block, profile() for all of K = 1..K_top; both read the
+  sample's own basis (Sample.vr_basis), so neither rebuilds it.
 - AC: exact dynamic programming over guillotine trees (see guillotine.py).
 
 fit_k() dispatches a single-K fit by family; its warm= parameter of a class
@@ -33,6 +36,7 @@ enforces that the maximized log-likelihood never decreases in K.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,7 +45,7 @@ from . import guillotine
 from .models import (
     Family, ModelConfig, ParameterError, Sample, Theta, ThetaAC, ThetaLM, ThetaVR,
     UsageError, csv_text, embed, log_likelihood, logsumexp_rows, mixture_log_components,
-    regression_log_densities, rng_for, vr_basis_matrix,
+    regression_log_densities, rng_for,
 )
 
 K_HARD_CAP = 64  # mixture sizes past this are a usage error, not a model
@@ -326,7 +330,19 @@ def _box_qp(gram: np.ndarray, b: np.ndarray, theta: np.ndarray, lo: float, hi: f
     return theta, sweeps, converged
 
 
-def _vr_optima(gram: np.ndarray, b: np.ndarray, ks, lo: float, hi: float,
+@functools.lru_cache(maxsize=64)
+def _vr_blocks(ks: tuple[int, ...], top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inside, block mask, identity) for _vr_optima: inside[i, j] marks
+    j < ks[i], the mask the entries of block i, and the identity pads each
+    block to top x top.  Kept per (ks, top) and read-only."""
+    inside = np.arange(top) < np.asarray(ks)[:, None]
+    out = (inside, inside[:, :, None] & inside[:, None, :], np.eye(top))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _vr_optima(gram: np.ndarray, b: np.ndarray, ks: tuple[int, ...], lo: float, hi: float,
                tol: float) -> tuple[np.ndarray, list[int], list[bool]]:
     """Minimize theta' gram theta - 2 b' theta over [lo, hi]^k on each leading
     block gram[:k, :k], k in ks (increasing); returns (coeffs, sweeps, converged)
@@ -334,21 +350,24 @@ def _vr_optima(gram: np.ndarray, b: np.ndarray, ks, lo: float, hi: float,
 
     Every block's normal equations are solved in one batch, each padded to full
     size with the identity.  A solution inside [lo, hi] is the exact optimum
-    (0 sweeps); otherwise a bound binds or the block is singular, and _box_qp
-    runs from the previous block's optimum padded with a zero, to tolerance tol.
+    (0 sweeps), and when every block's is, that is the answer; the zero
+    padding always lies in the box, since VR needs lo <= 0 <= hi.  Otherwise a
+    bound binds or the block is singular, and _box_qp runs from the previous
+    block's optimum padded with a zero, to tolerance tol.
     """
-    ks = np.asarray(ks)
     top = gram.shape[0]
-    inside = np.arange(top) < ks[:, None]
-    blocks = np.where(inside[:, :, None] & inside[:, None, :], gram, np.eye(top))
+    inside, block_mask, eye = _vr_blocks(ks, top)
     try:
-        coeffs = np.linalg.solve(blocks, np.where(inside, b, 0.0)[..., None])[..., 0]
+        coeffs = np.linalg.solve(np.where(block_mask, gram, eye),
+                                 np.where(inside, b, 0.0)[..., None])[..., 0]
         coeffs = np.where(inside, coeffs, 0.0)
     except np.linalg.LinAlgError:  # one singular block fails the batch
         coeffs = np.full(inside.shape, np.nan)
-    solved = (((lo <= coeffs) & (coeffs <= hi)) | ~inside).all(axis=1)
+    solved = ((lo <= coeffs) & (coeffs <= hi)).all(axis=1)
     sweeps = [0] * len(ks)
     converged = [True] * len(ks)
+    if solved.all():
+        return coeffs, sweeps, converged
     theta = np.zeros(top)
     for i, k in enumerate(ks):
         if solved[i]:
@@ -359,6 +378,14 @@ def _vr_optima(gram: np.ndarray, b: np.ndarray, ks, lo: float, hi: float,
     return coeffs, sweeps, converged
 
 
+def _vr_normal_equations(sample: Sample, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(basis, gram, b) of the least-squares problem over the first k basis
+    columns.  The basis is made contiguous first: a Gram matrix taken on a
+    strided view of a wider basis can differ in the last bit."""
+    basis = np.ascontiguousarray(sample.vr_basis(k))
+    return basis, basis.T @ basis, basis.T @ sample.y
+
+
 def fit_vr(sample: Sample, k: int, config: ModelConfig, tol: float = VR_TOL) -> FitResult:
     """Global optimum of the convex box-constrained quadratic; tol is the
     coordinate-descent tolerance, used only where a bound binds."""
@@ -366,10 +393,9 @@ def fit_vr(sample: Sample, k: int, config: ModelConfig, tol: float = VR_TOL) -> 
         raise UsageError("fit_vr needs a VR config and sample")
     if k < 1:
         raise UsageError("K must be >= 1")
-    basis = vr_basis_matrix(sample.x, k)
-    coeffs, sweeps, converged = _vr_optima(basis.T @ basis, basis.T @ sample.y, [k],
-                                           config.m_lo, config.m_hi, tol)
-    result = ThetaVR(tuple(coeffs[0]))
+    _, gram, b = _vr_normal_equations(sample, k)
+    coeffs, sweeps, converged = _vr_optima(gram, b, (k,), config.m_lo, config.m_hi, tol)
+    result = ThetaVR(coeffs[0].tolist())
     return FitResult(theta=result, loglik=log_likelihood(config, result, sample),
                      iterations=sweeps[0], converged=converged[0], starts_used=1)
 
@@ -419,15 +445,13 @@ def profile(sample: Sample, config: ModelConfig, k_top: int) -> ProfileCurve:
         if sample.family is not Family.VR:
             raise UsageError("profile needs a VR sample for a VR config")
         # one basis at k_top: every K's optimum and log-likelihood come from it
-        basis = vr_basis_matrix(sample.x, k_top)
-        coeffs, sweeps, converged = _vr_optima(basis.T @ basis, basis.T @ sample.y,
-                                               range(1, k_top + 1), config.m_lo,
-                                               config.m_hi, VR_TOL)
+        basis, gram, b = _vr_normal_equations(sample, k_top)
+        coeffs, sweeps, converged = _vr_optima(gram, b, tuple(range(1, k_top + 1)),
+                                               config.m_lo, config.m_hi, VR_TOL)
         logliks = regression_log_densities(sample.y, coeffs @ basis.T,
-                                           config.sigma).sum(axis=1)
-        for k in range(1, k_top + 1):
-            entries.append(FitResult(ThetaVR(tuple(coeffs[k - 1, :k])),
-                                     float(logliks[k - 1]), sweeps[k - 1],
+                                           config.sigma).sum(axis=1).tolist()
+        for k, row in enumerate(coeffs.tolist(), start=1):
+            entries.append(FitResult(ThetaVR(row[:k]), logliks[k - 1], sweeps[k - 1],
                                      converged[k - 1], 1))
     else:
         prev: FitResult | None = None

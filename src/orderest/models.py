@@ -8,7 +8,11 @@ Three families over a common interface:
   guillotine tree (recursive axis-aligned cuts, leaf marks); observations
   (x, y) with x uniform on [0,1]^2 and y = f_theta(x) + sigma * noise.
 - VR: regression on [0,1] over the cosine basis t_k(x) = sqrt(2) cos(k pi x),
-  theta = coefficient vector; x uniform on [0,1].
+  theta = coefficient vector; x uniform on [0,1].  A VR Sample keeps its basis
+  matrix (Sample.vr_basis): built once at the widest K asked so far and read
+  by simulate, the fits and log_likelihood, so one trial builds it at most
+  twice instead of once per call.  Slicing the wide basis gives the same bits
+  as building a narrow one.
 
 Means, marks and coefficients live in the compact interval M = [m_lo, m_hi]
 from ModelConfig.  The families are nested: a K-parameter model embeds in the
@@ -175,7 +179,8 @@ class Sample:
     """Observations from one family.
 
     points has shape (n,) for LM (the z values), (n, 2) for VR (columns x, y)
-    and (n, 3) for AC (columns x1, x2, y).
+    and (n, 3) for AC (columns x1, x2, y).  A VR sample also keeps the cosine
+    basis at its x (vr_basis), read-only like the points.
     """
 
     family: Family
@@ -203,6 +208,7 @@ class Sample:
                 raise ParameterError("x coordinates must lie in [0, 1]")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_basis", None)
 
     @property
     def z(self) -> np.ndarray:
@@ -224,7 +230,26 @@ class Sample:
 
     def head(self, n: int) -> "Sample":
         """The first n observations, sharing storage (for growing-path traces)."""
-        return Sample(self.family, self.points[:n], self.seed, n)
+        sub = Sample(self.family, self.points[:n], self.seed, n)
+        if self._basis is not None:
+            sub._keep_basis(self._basis[:n])
+        return sub
+
+    def vr_basis(self, k: int) -> np.ndarray:
+        """The first k columns of vr_basis_matrix(self.x, ...), shape (n, k),
+        read-only.  The basis is built once at the widest k asked so far; a
+        narrower k is a view of it."""
+        if self.family is not Family.VR:
+            raise UsageError(f"{self.family.value} samples have no cosine basis")
+        basis = self._basis
+        if basis is None or basis.shape[1] < k:
+            basis = self._keep_basis(vr_basis_matrix(self.x, k))
+        return basis[:, :k]
+
+    def _keep_basis(self, basis: np.ndarray) -> np.ndarray:
+        basis.setflags(write=False)
+        object.__setattr__(self, "_basis", basis)
+        return basis
 
 
 def _family_of(theta: Theta) -> Family:
@@ -404,10 +429,14 @@ def point_log_densities(config: ModelConfig, theta: Theta, points: np.ndarray) -
         return np.zeros(0)
     x, y = pts[:, :-1], pts[:, -1]
     if config.family is Family.VR:
-        f = vr_basis_matrix(x[:, 0], theta.k) @ np.asarray(theta.coeffs)
-    else:
-        f = guillotine.eval_tree(theta.tree, x)
-    return regression_log_densities(y, f, sigma)
+        return _vr_log_densities(vr_basis_matrix(x[:, 0], theta.k), theta, y, sigma)
+    return regression_log_densities(y, guillotine.eval_tree(theta.tree, x), sigma)
+
+
+def _vr_log_densities(basis: np.ndarray, theta: ThetaVR, y: np.ndarray,
+                      sigma: float) -> np.ndarray:
+    """The VR log-densities given the theta.k basis columns at x."""
+    return regression_log_densities(y, basis @ np.asarray(theta.coeffs), sigma)
 
 
 def regression_log_densities(y: np.ndarray, f: np.ndarray, sigma: float) -> np.ndarray:
@@ -429,6 +458,10 @@ def log_likelihood(config: ModelConfig, theta: Theta, sample: Sample) -> float:
         raise UsageError(f"sample is {sample.family.value} but config is {config.family.value}")
     if sample.n == 0:
         return 0.0
+    if config.family is Family.VR:
+        validate_theta(config, theta)
+        return float(np.sum(_vr_log_densities(sample.vr_basis(theta.k), theta, sample.y,
+                                              config.sigma)))
     return float(np.sum(point_log_densities(config, theta, sample.points)))
 
 
@@ -445,9 +478,11 @@ def simulate(config: ModelConfig, theta_star: Theta, n: int, seed: int) -> Sampl
         return Sample(Family.LM, z, int(seed), n)
     if config.family is Family.VR:
         x = rng.uniform(0.0, 1.0, n)
-        f = vr_basis_matrix(x, theta_star.k) @ np.asarray(theta_star.coeffs)
-        y = f + sigma * rng.standard_normal(n)
-        return Sample(Family.VR, np.column_stack([x, y]), int(seed), n)
+        basis = vr_basis_matrix(x, theta_star.k)
+        y = basis @ np.asarray(theta_star.coeffs) + sigma * rng.standard_normal(n)
+        sample = Sample(Family.VR, np.column_stack([x, y]), int(seed), n)
+        sample._keep_basis(basis)
+        return sample
     x = rng.uniform(0.0, 1.0, (n, 2))
     f = guillotine.eval_tree(theta_star.tree, x)
     y = f + sigma * rng.standard_normal(n)

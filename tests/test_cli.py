@@ -104,6 +104,23 @@ def test_entropy_subcommand(spec_file, capsys):
     assert out[3].startswith("2,target_to_class,0,")
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--k-top", "0"], ["fit", "--k-top", "-1"], ["fit", "--k", "0"],
+    ["entropy", "--k-top", "0"], ["entropy", "--k-top", "-1"],
+], ids=["fit-k-top-0", "fit-k-top-neg", "fit-k-0", "entropy-k-top-0", "entropy-k-top-neg"])
+def test_k_below_one_exits_2_and_writes_nothing(argv, spec_file, tmp_path, capsys):
+    sample_path = tmp_path / "sample.csv"
+    assert main(["simulate", "--spec", spec_file, "--out", str(sample_path)]) == 0
+    capsys.readouterr()
+    extra = ["--sample", str(sample_path), "--out", str(tmp_path / "fit.csv")] \
+        if argv[0] == "fit" else []
+    assert main([argv[0], "--spec", spec_file, *argv[1:], *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: orderest {argv[0]} needs K >= 1, got {argv[2]}")
+    assert not (tmp_path / "fit.csv").exists() and not (tmp_path / "out").exists()
+
+
 def test_campaign_consistency(spec_file, tmp_path, capsys):
     assert main(["campaign", "--spec", spec_file]) == 0
     results = tmp_path / "out" / "consistency_results.csv"

@@ -255,6 +255,19 @@ class TestRun:
         fit_lines = (tmp_path / "d" / "under_exponent_fit.csv").read_text().splitlines()
         assert fit_lines[0] == "x,neg_log_p"
 
+    def test_low_ess_rows_warn_on_stderr(self, tmp_path, capsys):
+        # 4 trials give an effective sample size below 10 at every n
+        spec = spec_for(tmp_path, mode="under_exponent", trials=4, n_grid=(60, 90),
+                        schedule_spec="bic D=dim*0.05", output_dir=str(tmp_path / "e"))
+        assert run(spec) == 0
+        err = capsys.readouterr().err.splitlines()
+        rows = (tmp_path / "e" / "under_exponent_results.csv").read_text().splitlines()[1:]
+        warned = [line for line in err if line.startswith("warning: importance sampling")]
+        assert len(warned) == len(rows) == 2
+        for line, row in zip(warned, rows):
+            n, ess = row.split(",")[0], float(row.split(",")[-1])
+            assert f"at n={n} " in line and f"size {ess:.3g} of 4 trials" in line
+
     def test_invariants_mode(self, tmp_path, capsys, monkeypatch, invariant_results):
         from orderest import experiments
         seeds = []

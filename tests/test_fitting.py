@@ -6,10 +6,11 @@ from scipy.special import logsumexp
 
 from orderest import (
     Family, Leaf, ModelConfig, ParameterError, Sample, Split, ThetaAC, ThetaLM, ThetaVR,
-    FitResult, UsageError, embed, estimate_orders, fit_ac, fit_lm_em, fit_vr, log_likelihood,
-    parse_schedule, profile, random_theta, simulate,
+    FitResult, UsageError, embed, estimate_orders, fit_ac, fit_lm_em, fit_vr,
+    is_underestimation_prob, log_likelihood, parse_schedule, peeling_assert, profile,
+    random_theta, simulate,
 )
-from orderest import fitting
+from orderest import fitting, models
 from orderest.fitting import EM_MAX_ITER, EM_TOL, _box_qp, _lm_start_list
 from orderest.models import (
     derive_seed, logsumexp_rows, mixture_log_components, rng_for, vr_basis_matrix,
@@ -394,6 +395,101 @@ class TestFitVr:
                 assert grad[j] <= 1e-6  # pushing past the upper bound
             elif t[j] <= tight.m_lo + 1e-9:
                 assert grad[j] >= -1e-6
+
+
+def _vr_optima_loop(gram, b, ks, lo, hi, tol):
+    """_vr_optima without its set-up cache and fast return: every block
+    through the per-K loop."""
+    ks = np.asarray(ks)
+    top = gram.shape[0]
+    inside = np.arange(top) < ks[:, None]
+    blocks = np.where(inside[:, :, None] & inside[:, None, :], gram, np.eye(top))
+    try:
+        coeffs = np.linalg.solve(blocks, np.where(inside, b, 0.0)[..., None])[..., 0]
+        coeffs = np.where(inside, coeffs, 0.0)
+    except np.linalg.LinAlgError:
+        coeffs = np.full(inside.shape, np.nan)
+    solved = (((lo <= coeffs) & (coeffs <= hi)) | ~inside).all(axis=1)
+    sweeps = [0] * len(ks)
+    converged = [True] * len(ks)
+    theta = np.zeros(top)
+    for i, k in enumerate(ks):
+        if solved[i]:
+            theta[:k] = coeffs[i, :k]
+            continue
+        _, sweeps[i], converged[i] = _box_qp(gram[:k, :k], b[:k], theta[:k], lo, hi, tol)
+        coeffs[i] = theta
+    return coeffs, sweeps, converged
+
+
+class TestVrOptima:
+    @pytest.mark.parametrize("case", ["inside", "binding", "some binding", "singular", "K>n"])
+    def test_fast_return_equals_the_loop(self, case, monkeypatch):
+        rng = rng_for(73)
+        lo, hi = {"binding": (-0.25, 0.25), "some binding": (-1.5, 1.5)}.get(case, (-2.0, 2.0))
+        n = 2 if case == "K>n" else 150
+        x = rng.uniform(0.0, 1.0, n)
+        # with "some binding", K = 1 lies inside the box and K >= 2 binds
+        truth = [0.2, 1.9] if case == "some binding" else [1.0, 0.5]
+        y = vr_basis_matrix(x, 2) @ np.array(truth) + 0.1 * rng.standard_normal(n)
+        basis = vr_basis_matrix(x, 5)
+        gram, b = basis.T @ basis, basis.T @ y
+        if case == "singular":  # a basis column that vanishes on the data
+            gram[2, :] = gram[:, 2] = 0.0
+            b[2] = 0.0
+        box_qp_calls = []
+        monkeypatch.setattr(fitting, "_box_qp",
+                            lambda *a: box_qp_calls.append(1) or _box_qp(*a))
+        for ks in ((1, 2, 3, 4, 5), (3,), (5,), (2, 4)):
+            got = fitting._vr_optima(gram, b, ks, lo, hi, 1e-10)
+            want = _vr_optima_loop(gram, b, ks, lo, hi, 1e-10)
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], (case, ks)
+        # only the inside case takes the fast return everywhere
+        assert (len(box_qp_calls) == 0) == (case == "inside")
+
+    def test_block_setup_is_kept_and_read_only(self):
+        first = fitting._vr_blocks((1, 2, 3), 3)
+        assert fitting._vr_blocks((1, 2, 3), 3) is first
+        for a in first:
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
+
+
+class TestVrBasisBuilds:
+    """The cosine basis is built once per sample width, not once per call."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = models.vr_basis_matrix
+        monkeypatch.setattr(models, "vr_basis_matrix",
+                            lambda x, k: calls.append(k) or original(x, k))
+        return calls
+
+    def test_fit_vr_builds_once(self, builds):
+        rng = rng_for(74)
+        x = rng.uniform(0.0, 1.0, 80)
+        s = Sample(Family.VR, np.column_stack([x, rng.standard_normal(80)]), seed=0, n=80)
+        fit_vr(s, 3, VR)
+        assert builds == [3]
+        fit_vr(s, 2, VR)
+        assert builds == [3]
+
+    def test_one_is_trial_builds_at_most_twice(self, builds):
+        schedule = parse_schedule("bic D=dim*0.05", Family.VR, 4)
+        is_underestimation_prob(VR, ThetaVR((1.0, 0.5)), ThetaVR((1.0,)), schedule, "global",
+                                100, 1, 5, 3)
+        assert len(builds) <= 2
+
+    def test_peeling_probes_build_nothing(self, builds):
+        rng = rng_for(75)
+        x = rng.uniform(0.0, 1.0, 400)
+        y = vr_basis_matrix(x, 2) @ np.array([1.0, 0.5]) + rng.standard_normal(400)
+        builds.clear()
+        s = Sample(Family.VR, np.column_stack([x, y]), seed=0, n=400)
+        rep = peeling_assert(s, VR, 2, 3, ThetaVR((1.0, 0.5)), n_probes=200)
+        assert rep.probes_used + rep.probes_skipped == 202
+        assert len(builds) <= 3
 
 
 class TestFitAc:

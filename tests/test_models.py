@@ -207,6 +207,46 @@ class TestLogDensity:
         assert integral == pytest.approx(1.0, abs=1e-6)
 
 
+class TestVrBasis:
+    """A VR sample keeps one cosine basis; every read of it must give the
+    bits a basis built for that call alone would give."""
+
+    @pytest.mark.parametrize("order", [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (3, 1, 5, 2, 4)],
+                             ids=["ascending", "descending", "mixed"])
+    @pytest.mark.parametrize("n", [1, 2, 100, 800])
+    def test_log_likelihood_equals_point_sum(self, n, order):
+        rng = rng_for(71, n)
+        thetas = {k: ThetaVR(tuple(rng.uniform(-2.0, 2.0, k))) for k in range(1, 6)}
+        pts = np.column_stack([rng.uniform(0.0, 1.0, n), rng.standard_normal(n)])
+        sampled = simulate(VR, thetas[2], n, seed=n)
+        for s in (Sample(Family.VR, pts, seed=0, n=n), sampled, sampled.head((n + 1) // 2)):
+            for k in order:
+                expect = float(np.sum(point_log_densities(VR, thetas[k], s.points)))
+                assert log_likelihood(VR, thetas[k], s) == expect, (n, k)
+            head = s.head(max(s.n // 3, 1))
+            for k in order:
+                expect = float(np.sum(point_log_densities(VR, thetas[k], head.points)))
+                assert log_likelihood(VR, thetas[k], head) == expect, (n, k)
+
+    def test_basis_is_read_only_and_widens(self):
+        s = simulate(VR, ThetaVR((1.0, 0.5)), 50, seed=3)
+        assert np.array_equal(s.vr_basis(2), vr_basis_matrix(s.x, 2))
+        with pytest.raises(ValueError):
+            s.vr_basis(2)[0, 0] = 1.0
+        wide = s.vr_basis(4)
+        assert wide.shape == (50, 4) and np.array_equal(wide, vr_basis_matrix(s.x, 4))
+        assert np.shares_memory(s.vr_basis(1), wide)
+        with pytest.raises(ValueError):
+            wide[:, 3] = 0.0
+        with pytest.raises(ValueError):
+            s.head(10).vr_basis(3)[0, 0] = 1.0
+
+    def test_only_vr_samples_have_a_basis(self):
+        for config, theta in ((LM, ThetaLM((1.0,), (0.0,))), (AC, TWO_CELL)):
+            with pytest.raises(UsageError):
+                simulate(config, theta, 5, seed=0).vr_basis(1)
+
+
 class TestRegressionFn:
     def test_vr_basis_values(self):
         assert eval_regression_fn(VR, ThetaVR((1.0,)), 0.0) == pytest.approx(math.sqrt(2.0))

@@ -2,24 +2,36 @@
 orderest).  A refactor that deletes, renames or bypasses one of them breaks
 the traced benchmark; these tests make it break here first."""
 
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
+import sys
 from pathlib import Path
 
 import pytest
 
 from orderest import Family, FitResult, ThetaVR, criterion, estimate_orders, parse_schedule
+from orderest import experiments
 from orderest.fitting import ProfileCurve
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    """perfbench/<name>.py as a module, without putting perfbench on sys.path."""
+    qualified = f"perfbench_{name}"
+    if qualified not in sys.modules:
+        spec = importlib.util.spec_from_file_location(qualified, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[qualified] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[qualified]
 
 
 def _tracer_layers() -> tuple[str, ...]:
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.LAYERS
+    return _load("tracer").LAYERS
 
 
 @pytest.mark.parametrize("layer", _tracer_layers())
@@ -44,3 +56,22 @@ def test_one_estimate_reads_crit_values_once(monkeypatch):
     est = estimate_orders(prof, parse_schedule("bic D=dim", Family.VR, 3), 100, 2)
     assert len(calls) == 1
     assert sorted(est.crit_values) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("name", sorted(_load("workloads").WORKLOADS))
+def test_each_workload_reaches_its_layers(name, tmp_path):
+    # the traced benchmark fails a workload whose layers record no calls; a
+    # kernel that bypasses one of them must fail here first
+    workloads = _load("workloads")
+    wl = workloads.WORKLOADS[name]
+    spec = experiments.parse_spec(wl.spec_text(workloads.DEFAULT_SEED, "tiny",
+                                               str(tmp_path / "out")))
+    tracer = _load("tracer").Tracer(wl.op_roots)
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert experiments.run(spec) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert [layer for layer in wl.layers if not metrics[f"{layer}.calls"]] == []
