@@ -77,7 +77,7 @@ def cmd_order(args) -> int:
     sample = _load_sample(args, spec)
     schedule = spec.schedule()
     prof = profile(sample, spec.config, k_top)
-    est = estimate_orders(prof, schedule, sample.n, spec.k_max)
+    est = estimate_orders(prof, schedule, spec.k_max)
     content = csv_text("K,loglik,penalty,crit",
                        ((k, prof.loglik(k), schedule.penalty(sample.n, k), crit)
                         for k, crit in sorted(est.crit_values.items())))
@@ -128,8 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit one K or a profile curve to a sample CSV")
     common(p)
     p.add_argument("--sample", required=True, help="sample CSV path")
-    p.add_argument("--k", type=int, help="single K to fit")
-    p.add_argument("--k-top", dest="k_top", type=int, help="profile up to this K")
+    reach = p.add_mutually_exclusive_group()
+    reach.add_argument("--k", type=int, help="single K to fit")
+    reach.add_argument("--k-top", dest="k_top", type=int, help="profile up to this K")
     p.add_argument("--out", help="output CSV path")
     p.set_defaults(func=cmd_fit)
 

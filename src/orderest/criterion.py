@@ -1,13 +1,13 @@
 """Penalty schedules, the penalized criterion and the two order estimators.
 
-crit(n, K) = sup-loglik(K) - pen(n, K) with pen(n, K) = v_n * D(K).  The
-local estimator returns the first K whose criterion does not increase at
-K+1; the global estimator returns the smallest argmax over 1..K_max.  Ties
-within 1e-12 count as equal in both, which keeps the two estimators
-deterministic and preserves k_global >= k_local on a common scan range.
-estimate_orders() reads both from one crit_values() map, so every profile
-must reach scan_top(K_max, K_scan_max) = max(K_max, K_scan_max + 1), the one
-rule for how far a trial, CLI profile or spec schedule reaches.
+crit(n, K) = sup-loglik(K) - pen(n, K) with pen(n, K) = v_n * D(K).  Both
+estimators scan K = 1..K_max: the local one returns the first K whose
+criterion does not increase at K+1 (K_max when none), the global one the
+smallest argmax.  Ties within 1e-12 count as equal in both, which keeps the
+two estimators deterministic and preserves k_global >= k_local.
+estimate_orders() reads both from one crit_values() map at the profile's own
+n, so every profile must reach scan_top(K_max) = K_max + 1, the one rule for
+how far a trial, CLI profile or spec schedule reaches.
 
 validate_schedule() checks a named growth regime's conditions on finite
 grids (a diagnostic, not a proof):
@@ -59,11 +59,13 @@ class PenaltySchedule:
     d: tuple[float, ...]
     delta: float | None = None
     eps: float | None = None
-    label: str = ""
 
     def __post_init__(self):
         if self.form not in V_FORMS:
             raise UsageError(f"unknown penalty form {self.form!r}")
+        for name, owner in (("delta", "power"), ("eps", "logpower")):
+            if getattr(self, name) is not None and self.form != owner:
+                raise UsageError(f"{self.form} form takes no {name}; only {owner} does")
         if self.form == "power" and not (self.delta is not None and 0.0 < self.delta < 1.0):
             raise UsageError(f"power form needs delta in (0, 1), got {self.delta}")
         if self.form == "logpower" and not (self.eps is not None and 0.0 < self.eps < math.inf):
@@ -154,7 +156,7 @@ def parse_schedule(text: str, family: Family | None, k_max: int) -> PenaltySched
         d = linear_weights(k_max, scale)
     else:
         raise UsageError(f"unknown D spec {d_spec!r}")
-    return PenaltySchedule(form=form, d=d, delta=delta, eps=eps, label=text)
+    return PenaltySchedule(form=form, d=d, delta=delta, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -176,26 +178,26 @@ class OrderEstimate:
     scan_cap_hit: bool
 
 
-def scan_top(k_max: int, k_scan_max: int | None = None) -> int:
-    """The largest K whose crit the estimators read: k_max for the global one,
-    k_scan_max + 1 for the local one (k_scan_max defaults to k_max)."""
-    return max(k_max, (k_max if k_scan_max is None else k_scan_max) + 1)
+def scan_top(k_max: int) -> int:
+    """The largest K whose crit the estimators read: the local one compares
+    crit(k_max) with crit(k_max + 1)."""
+    return k_max + 1
 
 
-def estimate_orders(profile: ProfileCurve, schedule: PenaltySchedule, n: int,
-                    k_max: int, k_scan_max: int | None = None) -> OrderEstimate:
-    """The local estimator (first K <= k_scan_max with crit(K) >= crit(K+1),
-    else k_scan_max) and the global one (smallest argmax of crit over 1..k_max)."""
-    k_scan_max = k_max if k_scan_max is None else k_scan_max
-    k_top = scan_top(k_max, k_scan_max)
+def estimate_orders(profile: ProfileCurve, schedule: PenaltySchedule,
+                    k_max: int) -> OrderEstimate:
+    """The local estimator (first K <= k_max with crit(K) >= crit(K+1), else
+    k_max) and the global one (smallest argmax of crit over 1..k_max), with
+    crit at the profile's sample size."""
+    k_top = scan_top(k_max)
     if profile.k_top < k_top:
         raise UsageError(f"the scan needs the profile up to K={k_top}, not {profile.k_top}")
-    values = crit_values(profile.logliks(), schedule, n)
-    k_local = next((k for k in range(1, k_scan_max + 1)
+    values = crit_values(profile.logliks(), schedule, profile.n)
+    k_local = next((k for k in range(1, k_max + 1)
                     if values[k] >= values[k + 1] - TIE_TOL), None)
     best = max(values[k] for k in range(1, k_max + 1))
     k_global = next(k for k in range(1, k_max + 1) if values[k] >= best - TIE_TOL)
-    return OrderEstimate(k_local=k_local or k_scan_max, k_global=k_global,
+    return OrderEstimate(k_local=k_local or k_max, k_global=k_global,
                          crit_values=values, scan_cap_hit=k_local is None)
 
 

@@ -91,24 +91,24 @@ def _resolve_k_star(config: ModelConfig, theta_star: Theta, k_star: int | None) 
 
 
 def _trial(config: ModelConfig, theta: Theta, schedule: PenaltySchedule, n: int,
-           seed: int, t: int, k_max: int, k_scan_max: int | None) -> tuple[Sample, int, int]:
+           seed: int, t: int, k_max: int) -> tuple[Sample, int, int]:
     """Trial t: simulate from theta, profile, estimate.  Returns (sample,
     k_local, k_global); depends only on (seed, t)."""
     sample = simulate(config, theta, n, derive_seed(seed, _TRIAL_STREAM, t))
-    prof = profile(sample, config, scan_top(k_max, k_scan_max))
-    est = estimate_orders(prof, schedule, n, k_max, k_scan_max)
+    prof = profile(sample, config, scan_top(k_max))
+    est = estimate_orders(prof, schedule, k_max)
     return sample, est.k_local, est.k_global
 
 
 def order_trials(config: ModelConfig, theta_star: Theta, schedule: PenaltySchedule,
                  n: int, trials: int, seed: int, k_max: int,
-                 k_scan_max: int | None = None, first_trial: int = 0) -> np.ndarray:
+                 first_trial: int = 0) -> np.ndarray:
     """(trials, 2) array of (k_local, k_global), rows indexed by trial."""
     if trials < 1:
         raise UsageError("trials must be >= 1")
     out = np.empty((trials, 2), dtype=np.int64)
     for i, t in enumerate(range(first_trial, first_trial + trials)):
-        out[i] = _trial(config, theta_star, schedule, n, seed, t, k_max, k_scan_max)[1:]
+        out[i] = _trial(config, theta_star, schedule, n, seed, t, k_max)[1:]
     return out
 
 
@@ -122,12 +122,10 @@ def tally_orders(orders: np.ndarray, k_star: int, estimator: str) -> tuple[int, 
 
 def mc_error_probs(config: ModelConfig, theta_star: Theta, schedule: PenaltySchedule,
                    estimator: str, n: int, trials: int, seed: int, k_max: int,
-                   k_scan_max: int | None = None,
                    k_star: int | None = None) -> ErrorProbEstimate:
     """Plain Monte Carlo estimate of the three order-selection probabilities."""
     k_star = _resolve_k_star(config, theta_star, k_star)
-    orders = order_trials(config, theta_star, schedule, n, trials, seed, k_max,
-                          k_scan_max)
+    orders = order_trials(config, theta_star, schedule, n, trials, seed, k_max)
     n_under, n_correct, n_over = tally_orders(orders, k_star, estimator)
     return ErrorProbEstimate(
         n=n, trials=trials,
@@ -153,7 +151,7 @@ def _weighted_stats(logw: np.ndarray, mask: np.ndarray, trials: int) -> tuple[fl
 
 def is_underestimation_prob(config: ModelConfig, theta_star: Theta, theta0: Theta | None,
                             schedule: PenaltySchedule, estimator: str, n: int, trials: int,
-                            seed: int, k_max: int, k_scan_max: int | None = None,
+                            seed: int, k_max: int,
                             k_star: int | None = None) -> ErrorProbEstimate:
     """Importance-sampled P*{K_hat < K*}, sampling from theta0 in the K*-1 class.
 
@@ -180,8 +178,7 @@ def is_underestimation_prob(config: ModelConfig, theta_star: Theta, theta0: Thet
     logw = np.empty(trials)
     khat = np.empty(trials, dtype=np.int64)
     for t in range(trials):
-        sample, k_local, k_global = _trial(config, theta0, schedule, n, seed, t,
-                                           k_max, k_scan_max)
+        sample, k_local, k_global = _trial(config, theta0, schedule, n, seed, t, k_max)
         khat[t] = k_local if estimator == "local" else k_global
         logw[t] = (log_likelihood(config, theta_star, sample)
                    - log_likelihood(config, theta0, sample))

@@ -28,10 +28,11 @@
   sample's own basis (Sample.vr_basis), so neither rebuilds it.
 - AC: exact dynamic programming over guillotine trees (see guillotine.py).
 
-fit_k() dispatches a single-K fit by family; its warm= parameter of a class
-<= K is embedded into the K-th class as LM's first EM start, the one warm
-start rule.  profile() fits K = 1..K_top, warm from the previous level, and
-enforces that the maximized log-likelihood never decreases in K.
+fit_k() dispatches a single-K fit by family and passes its warm= parameter
+to fit_lm_em, which embeds it (a parameter of a class <= K) into the K-th
+class as the first EM start, the one warm start rule; the exact VR and AC
+fits need none.  profile() fits K = 1..K_top, warm from the previous level,
+and enforces that the maximized log-likelihood never decreases in K.
 """
 
 from __future__ import annotations
@@ -273,9 +274,10 @@ def _lm_start_list(z: np.ndarray, k: int, config: ModelConfig, starts: int,
 
 
 def fit_lm_em(sample: Sample, k: int, config: ModelConfig, starts: int = 10,
-              extra_inits: list[tuple] | None = None,
-              track_paths: bool = False) -> FitResult:
-    """Best of `starts` EM runs; ties within 1e-12 go to the earliest start."""
+              warm: Theta | None = None, track_paths: bool = False) -> FitResult:
+    """Best of `starts` EM runs, plus one from warm (a parameter of a class
+    <= K, embedded into the K-th) run first when given; ties within 1e-12 go
+    to the earliest start."""
     if config.family is not Family.LM or sample.family is not Family.LM:
         raise UsageError("fit_lm_em needs an LM config and sample")
     if k < 1 or starts < 1:
@@ -284,11 +286,9 @@ def fit_lm_em(sample: Sample, k: int, config: ModelConfig, starts: int = 10,
         raise UsageError(f"K={k} exceeds the hard cap {K_HARD_CAP}")
     z = sample.z
     inits = _lm_start_list(z, k, config, starts, sample.seed)
-    if extra_inits:
-        inits = [(np.asarray(w, dtype=float), np.asarray(m, dtype=float))
-                 for w, m in extra_inits] + inits
-        if any(w.shape != (k,) or m.shape != (k,) for w, m in inits):
-            raise UsageError(f"each of extra_inits needs K={k} weights and {k} means")
+    if warm is not None:
+        emb = embed(config, warm, k)
+        inits.insert(0, (np.asarray(emb.weights), np.asarray(emb.means)))
     w, m, lls, iters, conv, paths = _em_run(z, config, [w for w, _ in inits],
                                             [m for _, m in inits])
     best = 0
@@ -386,15 +386,14 @@ def _vr_normal_equations(sample: Sample, k: int) -> tuple[np.ndarray, np.ndarray
     return basis, basis.T @ basis, basis.T @ sample.y
 
 
-def fit_vr(sample: Sample, k: int, config: ModelConfig, tol: float = VR_TOL) -> FitResult:
-    """Global optimum of the convex box-constrained quadratic; tol is the
-    coordinate-descent tolerance, used only where a bound binds."""
+def fit_vr(sample: Sample, k: int, config: ModelConfig) -> FitResult:
+    """Global optimum of the convex box-constrained quadratic."""
     if config.family is not Family.VR or sample.family is not Family.VR:
         raise UsageError("fit_vr needs a VR config and sample")
     if k < 1:
         raise UsageError("K must be >= 1")
     _, gram, b = _vr_normal_equations(sample, k)
-    coeffs, sweeps, converged = _vr_optima(gram, b, (k,), config.m_lo, config.m_hi, tol)
+    coeffs, sweeps, converged = _vr_optima(gram, b, (k,), config.m_lo, config.m_hi, VR_TOL)
     result = ThetaVR(coeffs[0].tolist())
     return FitResult(theta=result, loglik=log_likelihood(config, result, sample),
                      iterations=sweeps[0], converged=converged[0], starts_used=1)
@@ -422,10 +421,9 @@ def fit_ac(sample: Sample, k: int, config: ModelConfig) -> FitResult:
 def fit_k(sample: Sample, k: int, config: ModelConfig,
           warm: Theta | None = None) -> FitResult:
     """Family dispatch for a single-K fit; warm, a parameter of a class <= K,
-    is embedded as LM's first EM start (the exact VR and AC fits ignore it)."""
+    is LM's first EM start (the exact VR and AC fits ignore it)."""
     if config.family is Family.LM:
-        emb = None if warm is None else embed(config, warm, k)
-        return fit_lm_em(sample, k, config, extra_inits=emb and [(emb.weights, emb.means)])
+        return fit_lm_em(sample, k, config, warm=warm)
     if config.family is Family.VR:
         return fit_vr(sample, k, config)
     return fit_ac(sample, k, config)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -179,14 +179,15 @@ class Sample:
     """Observations from one family.
 
     points has shape (n,) for LM (the z values), (n, 2) for VR (columns x, y)
-    and (n, 3) for AC (columns x1, x2, y).  A VR sample also keeps the cosine
-    basis at its x (vr_basis), read-only like the points.
+    and (n, 3) for AC (columns x1, x2, y); n is read from the points.  A VR
+    sample also keeps the cosine basis at its x (vr_basis), read-only like the
+    points.
     """
 
     family: Family
     points: np.ndarray
     seed: int
-    n: int
+    n: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
@@ -197,8 +198,6 @@ class Sample:
                 raise ParameterError("LM points must be a 1-d array of z values")
         elif pts.ndim != 2 or pts.shape[1] != expected:
             raise ParameterError(f"{self.family.value} points must have shape (n, {expected})")
-        if pts.shape[0] != self.n:
-            raise ParameterError(f"n={self.n} does not match {pts.shape[0]} points")
         if not np.isfinite(pts).all():
             i = int(np.argwhere(~np.isfinite(pts))[0][0])
             raise ParameterError(f"point {i} is not finite: {pts[i]}")
@@ -208,6 +207,7 @@ class Sample:
                 raise ParameterError("x coordinates must lie in [0, 1]")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "n", pts.shape[0])
         object.__setattr__(self, "_basis", None)
 
     @property
@@ -230,7 +230,9 @@ class Sample:
 
     def head(self, n: int) -> "Sample":
         """The first n observations, sharing storage (for growing-path traces)."""
-        sub = Sample(self.family, self.points[:n], self.seed, n)
+        if not 0 <= n <= self.n:
+            raise UsageError(f"cannot take the first {n} of {self.n} observations")
+        sub = Sample(self.family, self.points[:n], self.seed)
         if self._basis is not None:
             sub._keep_basis(self._basis[:n])
         return sub
@@ -475,18 +477,18 @@ def simulate(config: ModelConfig, theta_star: Theta, n: int, seed: int) -> Sampl
     if config.family is Family.LM:
         labels = rng.choice(theta_star.k, size=n, p=np.asarray(theta_star.weights))
         z = np.asarray(theta_star.means)[labels] + sigma * rng.standard_normal(n)
-        return Sample(Family.LM, z, int(seed), n)
+        return Sample(Family.LM, z, int(seed))
     if config.family is Family.VR:
         x = rng.uniform(0.0, 1.0, n)
         basis = vr_basis_matrix(x, theta_star.k)
         y = basis @ np.asarray(theta_star.coeffs) + sigma * rng.standard_normal(n)
-        sample = Sample(Family.VR, np.column_stack([x, y]), int(seed), n)
+        sample = Sample(Family.VR, np.column_stack([x, y]), int(seed))
         sample._keep_basis(basis)
         return sample
     x = rng.uniform(0.0, 1.0, (n, 2))
     f = guillotine.eval_tree(theta_star.tree, x)
     y = f + sigma * rng.standard_normal(n)
-    return Sample(Family.AC, np.column_stack([x, y]), int(seed), n)
+    return Sample(Family.AC, np.column_stack([x, y]), int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -671,4 +673,4 @@ def sample_from_csv(text: str, seed: int = -1) -> Sample:
     family = families[header]
     rows = [tuple(float(v) for v in ln.split(",")[1:]) for ln in lines[1:]]
     pts = np.asarray(rows, dtype=float).reshape(len(rows), -1 if rows else header.count(","))
-    return Sample(family, pts.ravel() if family is Family.LM else pts, seed, len(rows))
+    return Sample(family, pts.ravel() if family is Family.LM else pts, seed)

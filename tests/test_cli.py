@@ -68,6 +68,18 @@ def test_fit_single_k(spec_file, tmp_path):
     assert lines[1].startswith("3,")
 
 
+def test_fit_k_and_k_top_exclusive(spec_file, tmp_path, capsys):
+    sample_path = tmp_path / "sample.csv"
+    assert main(["simulate", "--spec", spec_file, "--out", str(sample_path)]) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fit", "--spec", spec_file, "--sample", str(sample_path),
+              "--k", "2", "--k-top", "5"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--k-top" in err and "--k " in err
+    assert not (tmp_path / "out" / "fit.csv").exists()
+
+
 @pytest.mark.parametrize("flag, value, line", [
     ("--estimator", "local", "estimator = local"),
     ("--n-grid", "100 300", "n_grid = 100 300"),

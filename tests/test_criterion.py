@@ -62,6 +62,18 @@ class TestPenalty:
         with pytest.raises(UsageError, match=message):
             PenaltySchedule(form=form, **kw)
 
+    @pytest.mark.parametrize("form, name, kw", [
+        ("bic", "delta", dict(delta=0.9)),
+        ("bic", "eps", dict(eps=math.nan)),
+        ("iterlog", "delta", dict(delta=0.5)),
+        ("iterlog", "eps", dict(eps=0.1)),
+        ("power", "eps", dict(delta=0.5, eps=0.1)),
+        ("logpower", "delta", dict(eps=0.1, delta=0.5)),
+    ])
+    def test_parameter_of_another_form_rejected(self, form, name, kw):
+        with pytest.raises(UsageError, match=f"^{form} form takes no {name}"):
+            PenaltySchedule(form=form, d=(1.0, 2.0), **kw)
+
     def test_weights(self):
         assert dim_weights(Family.LM, 3) == (1.0, 3.0, 5.0)
         assert dim_weights(Family.VR, 3) == (1.0, 2.0, 3.0)
@@ -86,6 +98,7 @@ class TestParseSchedule:
         assert sched.eps == 0.1 and sched.d == (0.5, 1.5)
         sched = parse_schedule("iterlog", Family.VR, 2)
         assert sched.form == "iterlog"
+        assert parse_schedule("bic", Family.VR, 4) == parse_schedule("bic D=dim", Family.VR, 4)
 
     def test_grammar_errors(self):
         with pytest.raises(UsageError):
@@ -139,46 +152,49 @@ class TestCrit:
 
 class TestEstimators:
     def setup_method(self):
-        # crit values (9, 10, 9.5) via profile and unit-step penalties
+        # crit values (9, 10, 9.5) via profile and unit-step penalties; the
+        # K = 4 entry of prof4 adds crit 8.5, below the maximum
         self.n = 100
         scale = 1.0 / math.log(self.n)
-        self.sched = schedule_with(tuple(scale * k for k in (1, 2, 3)))
+        self.sched = schedule_with(tuple(scale * k for k in (1, 2, 3, 4)))
         self.prof = make_profile([10.0, 12.0, 12.5], n=self.n)
+        self.prof4 = make_profile([10.0, 12.0, 12.5, 12.5], n=self.n)
 
     def test_first_local_max(self):
-        assert estimate_orders(self.prof, self.sched, self.n, 2, 2).k_local == 2
+        assert estimate_orders(self.prof, self.sched, 2).k_local == 2
 
     def test_decreasing_crit_gives_one(self):
         prof = make_profile([5.0, 5.0, 5.0])
-        assert estimate_orders(prof, self.sched, self.n, 2, 2).k_local == 1
+        assert estimate_orders(prof, self.sched, 2).k_local == 1
 
     def test_increasing_crit_hits_cap(self):
         prof = make_profile([0.0, 10.0, 20.0])
-        est = estimate_orders(prof, self.sched, self.n, k_max=2, k_scan_max=2)
+        est = estimate_orders(prof, self.sched, k_max=2)
         assert est.k_local == 2 and est.scan_cap_hit
 
     def test_global_smallest_argmax(self):
-        assert estimate_orders(self.prof, self.sched, self.n, 3, 2).k_global == 2
+        assert estimate_orders(self.prof4, self.sched, 3).k_global == 2
 
     def test_global_tie_goes_down(self):
-        scale = 1.0 / math.log(self.n)
-        sched = schedule_with((scale, 2 * scale, 3 * scale))
-        prof = make_profile([2.0, 2.0 + 1.0, 2.0 + 2.0])  # crit = (1, 1, 1), exact ties
-        assert estimate_orders(prof, sched, self.n, 3, 2).k_global == 1
+        prof = make_profile([2.0, 2.0 + 1.0, 2.0 + 2.0, 4.0])  # crit = (1, 1, 1, 0), exact ties
+        assert estimate_orders(prof, self.sched, 3).k_global == 1
 
     def test_global_ties_at_one_and_three(self):
-        scale = 1.0 / math.log(self.n)
-        sched = schedule_with((scale, 2 * scale, 3 * scale))
-        prof = make_profile([3.0, 3.0, 5.0])  # crit = (2, 1, 2): exact ties at K=1, 3
-        assert estimate_orders(prof, sched, self.n, 3, 2).k_global == 1
+        prof = make_profile([3.0, 3.0, 5.0, 5.0])  # crit = (2, 1, 2, 1): exact ties at K=1, 3
+        assert estimate_orders(prof, self.sched, 3).k_global == 1
+
+    def test_crit_at_the_profile_n(self):
+        # the same logliks at n = 100^2: the penalties double, crit = (8, 8, 6.5)
+        prof = make_profile([10.0, 12.0, 12.5], n=self.n ** 2)
+        est = estimate_orders(prof, self.sched, 2)
+        assert est.crit_values[3] == pytest.approx(6.5, abs=1e-12)
+        assert (est.k_local, est.k_global) == (1, 1)
 
     def test_requires_coverage(self):
         # the local scan to 3 reads crit at K = 4; the profile stops at 3
-        assert scan_top(2, 3) == 4 and scan_top(3) == 4 and scan_top(3, 1) == 3
+        assert scan_top(2) == 3 and scan_top(3) == 4
         with pytest.raises(UsageError, match="up to K=4"):
-            estimate_orders(self.prof, self.sched, self.n, 2, 3)
-        with pytest.raises(UsageError, match="up to K=4"):
-            estimate_orders(self.prof, self.sched, self.n, 3)
+            estimate_orders(self.prof, self.sched, 3)
 
     @given(st.lists(st.floats(-50, 50), min_size=4, max_size=8),
            st.sampled_from(["bic", "power", "iterlog"]))
@@ -189,30 +205,31 @@ class TestEstimators:
         kw = {"delta": 0.3} if form == "power" else {}
         sched = PenaltySchedule(form=form, d=tuple(range(1, k_top + 1)), **kw)
         prof = make_profile(lls, n=50)
-        est = estimate_orders(prof, sched, 50, k_max=k_top - 1, k_scan_max=k_top - 1)
+        est = estimate_orders(prof, sched, k_max=k_top - 1)
         assert est.k_global >= est.k_local
 
     def test_argmax_invariance_under_constant_shift(self):
         prof1 = make_profile([10.0, 12.0, 12.5])
         prof2 = make_profile([10.0 + 7.25, 12.0 + 7.25, 12.5 + 7.25])
-        e1 = estimate_orders(prof1, self.sched, self.n, 2, 2)
-        e2 = estimate_orders(prof2, self.sched, self.n, 2, 2)
+        e1 = estimate_orders(prof1, self.sched, 2)
+        e2 = estimate_orders(prof2, self.sched, 2)
         assert (e1.k_local, e1.k_global) == (e2.k_local, e2.k_global)
 
     def test_constant_profile_any_penalty_scale_gives_one(self):
-        prof = make_profile([3.0, 3.0, 3.0])
+        prof = make_profile([3.0, 3.0, 3.0, 3.0])
         for lam in (1e-6, 1.0, 1e6):
-            sched = schedule_with((lam, 2 * lam, 3 * lam))
-            assert estimate_orders(prof, sched, self.n, 3, 2).k_global == 1
+            sched = schedule_with((lam, 2 * lam, 3 * lam, 4 * lam))
+            assert estimate_orders(prof, sched, 3).k_global == 1
 
     def test_larger_gaps_weakly_decrease_k_global(self):
-        prof = make_profile([0.0, 4.0, 6.0, 7.0])
+        # the K = 5 entry's crit stays below crit(4), so below the maximum
+        prof = make_profile([0.0, 4.0, 6.0, 7.0, 7.0])
         n = 100
         scale = 1.0 / math.log(n)
         previous = None
         for gap in (0.5, 1.0, 2.0, 4.0, 8.0):
-            sched = schedule_with(tuple(scale * gap * k for k in (1, 2, 3, 4)))
-            k_g = estimate_orders(prof, sched, n, 4, 3).k_global
+            sched = schedule_with(tuple(scale * gap * k for k in (1, 2, 3, 4, 5)))
+            k_g = estimate_orders(prof, sched, 4).k_global
             if previous is not None:
                 assert k_g <= previous
             previous = k_g

