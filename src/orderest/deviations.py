@@ -72,14 +72,15 @@ class ExponentFit:
     n_excluded: int
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval; well behaved at p_hat in {0, 1}."""
     if trials <= 0:
         return (0.0, 1.0)
     p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = p + z * z / (2.0 * trials)
-    half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
+    zz = Z95 * Z95
+    denom = 1.0 + zz / trials
+    center = p + zz / (2.0 * trials)
+    half = Z95 * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials * trials))
     # the endpoints are exact at the boundary; rounding must not exclude p_hat
     lo = 0.0 if successes == 0 else max(0.0, (center - half) / denom)
     hi = 1.0 if successes == trials else min(1.0, (center + half) / denom)
@@ -340,8 +341,8 @@ def slln_trace(config: ModelConfig, theta_star: Theta, k: int, n_grid,
     for n in n_grid:
         sub = full.head(n)
         ll = fit_k(sub, k, config, warm=theta_star if k >= k_star else None).loglik
+        ll_star = log_likelihood(config, theta_star, sub)
         if k >= k_star:  # theta* is feasible, the supremum cannot fall below it
-            ll = max(ll, log_likelihood(config, theta_star, sub))
-        value = (ll - log_likelihood(config, theta_star, sub)) / n
-        out.append((n, value))
+            ll = max(ll, ll_star)
+        out.append((n, (ll - ll_star) / n))
     return tuple(out)

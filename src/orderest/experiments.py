@@ -49,7 +49,7 @@ from .deviations import (
     is_underestimation_prob, mc_error_probs, peeling_assert,
 )
 from .entropy import kl_divergence, project_entropy, stein_bound
-from .fitting import fit_lm_em, profile
+from .fitting import K_HARD_CAP, fit_lm_em, profile
 from .models import (
     Family, ModelConfig, Theta, UsageError, _config_from_map, _kv_lines, _kv_parse, _kv_text,
     _theta_from_map, config_to_kv, csv_text, derive_seed, random_theta, rng_for, simulate,
@@ -83,6 +83,8 @@ class ExperimentSpec:
         grid = tuple(int(n) for n in self.n_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise UsageError("n_grid must be nonempty and strictly increasing")
+        if grid[0] < 1:
+            raise UsageError(f"n_grid entries must be >= 1, got {grid[0]}")
         object.__setattr__(self, "n_grid", grid)
         if self.mode in ("consistency", "under_exponent", "over_rate") and self.trials < 1:
             raise UsageError(f"mode={self.mode} needs trials >= 1")
@@ -97,15 +99,19 @@ class ExperimentSpec:
 
     def check_reach(self, k_top: int, what: str) -> None:
         """Fail unless k_top >= 1 and the model can fit K = 1..k_top (an AC
-        tree has at most 2**ac_depth_max leaves); what names the mode or
-        command that fits them."""
+        tree has at most 2**ac_depth_max leaves, an LM mixture at most
+        K_HARD_CAP components); what names the mode or command that fits them."""
         if k_top < 1:
             raise UsageError(f"{what} needs K >= 1, got {k_top}")
-        depth = self.config.ac_depth_max
-        if self.config.family is Family.AC and k_top > 2 ** depth:
+        family, depth = self.config.family, self.config.ac_depth_max
+        if family is Family.AC and k_top > 2 ** depth:
             raise UsageError(
                 f"{what} fits K up to {k_top} (k_max = {self.k_max}), but a tree "
                 f"of ac_depth_max = {depth} has at most {2 ** depth} leaves")
+        if family is Family.LM and k_top > K_HARD_CAP:
+            raise UsageError(
+                f"{what} fits K up to {k_top} (k_max = {self.k_max}), but an LM "
+                f"mixture has at most the hard cap {K_HARD_CAP} components")
 
     def schedule(self) -> PenaltySchedule:
         # D must reach every K the estimators read

@@ -16,16 +16,19 @@
   all starts of one fit as one (S, n, K) batch and freezes each start where
   it stops, so every start follows the path it would follow alone; the best
   start wins, ties within 1e-12 going to the earliest.
-- VR: maximizing the likelihood is a box-constrained least-squares problem.
-  _vr_optima solves the normal equations of every requested leading block of
-  one Gram matrix in a single batch; a solution inside the box is the exact
-  optimum of the convex quadratic.  The identity padding and block masks of a
-  set of blocks are built once and kept (_vr_blocks), and when every block's
-  solution lies inside the box _vr_optima returns at once.  Where a bound
-  binds or a block is singular, _box_qp (cyclic coordinate descent with exact
-  clipped coordinate updates) finishes from the previous block's optimum.
-  fit_vr asks for one block, profile() for all of K = 1..K_top; both read the
-  sample's own basis (Sample.vr_basis), so neither rebuilds it.
+- VR: maximizing the likelihood is a box-constrained least-squares problem,
+  solved in one place, _vr_fits: one contiguous basis B at the largest K
+  asked (read from the sample, Sample.vr_basis), the statistics G = B'B and
+  b = B'y, every K's optimum from _vr_optima, and every K's log-likelihood
+  from one residual pass.  fit_vr asks it for one K, profile() for all of
+  K = 1..K_top.  _vr_optima solves the normal equations of every requested
+  leading block of G in a single batch; a solution inside the box is the
+  exact optimum of the convex quadratic.  The identity padding and block
+  masks of a set of blocks are built once and kept (_vr_blocks), and when
+  every block's solution lies inside the box _vr_optima returns at once.
+  Where a bound binds or a block is singular, _box_qp (cyclic coordinate
+  descent with exact clipped coordinate updates) finishes from the previous
+  block's optimum, to VR_TOL.
 - AC: exact dynamic programming over guillotine trees (see guillotine.py).
 
 fit_k() dispatches a single-K fit by family and passes its warm= parameter
@@ -87,9 +90,6 @@ class ProfileCurve:
 
     def loglik(self, k: int) -> float:
         return self.result(k).loglik
-
-    def theta(self, k: int) -> Theta:
-        return self.result(k).theta
 
     def logliks(self) -> dict[int, float]:
         return {k: r.loglik for k, r in enumerate(self.entries, start=1)}
@@ -342,8 +342,8 @@ def _vr_blocks(ks: tuple[int, ...], top: int) -> tuple[np.ndarray, np.ndarray, n
     return out
 
 
-def _vr_optima(gram: np.ndarray, b: np.ndarray, ks: tuple[int, ...], lo: float, hi: float,
-               tol: float) -> tuple[np.ndarray, list[int], list[bool]]:
+def _vr_optima(gram: np.ndarray, b: np.ndarray, ks: tuple[int, ...], lo: float, hi: float
+               ) -> tuple[np.ndarray, list[int], list[bool]]:
     """Minimize theta' gram theta - 2 b' theta over [lo, hi]^k on each leading
     block gram[:k, :k], k in ks (increasing); returns (coeffs, sweeps, converged)
     with row i of coeffs the optimum for ks[i], padded with zeros.
@@ -353,7 +353,7 @@ def _vr_optima(gram: np.ndarray, b: np.ndarray, ks: tuple[int, ...], lo: float, 
     (0 sweeps), and when every block's is, that is the answer; the zero
     padding always lies in the box, since VR needs lo <= 0 <= hi.  Otherwise a
     bound binds or the block is singular, and _box_qp runs from the previous
-    block's optimum padded with a zero, to tolerance tol.
+    block's optimum padded with a zero, to tolerance VR_TOL.
     """
     top = gram.shape[0]
     inside, block_mask, eye = _vr_blocks(ks, top)
@@ -373,30 +373,34 @@ def _vr_optima(gram: np.ndarray, b: np.ndarray, ks: tuple[int, ...], lo: float, 
         if solved[i]:
             theta[:k] = coeffs[i, :k]
             continue
-        _, sweeps[i], converged[i] = _box_qp(gram[:k, :k], b[:k], theta[:k], lo, hi, tol)
+        _, sweeps[i], converged[i] = _box_qp(gram[:k, :k], b[:k], theta[:k], lo, hi, VR_TOL)
         coeffs[i] = theta  # still zero past k
     return coeffs, sweeps, converged
 
 
-def _vr_normal_equations(sample: Sample, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(basis, gram, b) of the least-squares problem over the first k basis
-    columns.  The basis is made contiguous first: a Gram matrix taken on a
-    strided view of a wider basis can differ in the last bit."""
-    basis = np.ascontiguousarray(sample.vr_basis(k))
-    return basis, basis.T @ basis, basis.T @ sample.y
+def _vr_fits(sample: Sample, config: ModelConfig, ks: tuple[int, ...]) -> list[FitResult]:
+    """The VR fit at each K of ks (increasing), all from one basis at ks[-1].
+
+    The basis is made contiguous first: a Gram matrix taken on a strided view
+    of a wider basis can differ in the last bit."""
+    if sample.family is not Family.VR:
+        raise UsageError(f"a VR fit needs a VR sample, got {sample.family.value}")
+    basis = np.ascontiguousarray(sample.vr_basis(ks[-1]))
+    coeffs, sweeps, converged = _vr_optima(basis.T @ basis, basis.T @ sample.y, ks,
+                                           config.m_lo, config.m_hi)
+    logliks = regression_log_densities(sample.y, coeffs @ basis.T,
+                                       config.sigma).sum(axis=1).tolist()
+    return [FitResult(ThetaVR(row[:k]), ll, s, c, 1)
+            for k, row, ll, s, c in zip(ks, coeffs.tolist(), logliks, sweeps, converged)]
 
 
 def fit_vr(sample: Sample, k: int, config: ModelConfig) -> FitResult:
     """Global optimum of the convex box-constrained quadratic."""
-    if config.family is not Family.VR or sample.family is not Family.VR:
-        raise UsageError("fit_vr needs a VR config and sample")
+    if config.family is not Family.VR:
+        raise UsageError("fit_vr needs a VR config")
     if k < 1:
         raise UsageError("K must be >= 1")
-    _, gram, b = _vr_normal_equations(sample, k)
-    coeffs, sweeps, converged = _vr_optima(gram, b, (k,), config.m_lo, config.m_hi, VR_TOL)
-    result = ThetaVR(coeffs[0].tolist())
-    return FitResult(theta=result, loglik=log_likelihood(config, result, sample),
-                     iterations=sweeps[0], converged=converged[0], starts_used=1)
+    return _vr_fits(sample, config, (k,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -438,19 +442,8 @@ def profile(sample: Sample, config: ModelConfig, k_top: int) -> ProfileCurve:
     if k_top < 1:
         raise UsageError("k_top must be >= 1")
     entries: list[FitResult] = []
-
     if config.family is Family.VR:
-        if sample.family is not Family.VR:
-            raise UsageError("profile needs a VR sample for a VR config")
-        # one basis at k_top: every K's optimum and log-likelihood come from it
-        basis, gram, b = _vr_normal_equations(sample, k_top)
-        coeffs, sweeps, converged = _vr_optima(gram, b, tuple(range(1, k_top + 1)),
-                                               config.m_lo, config.m_hi, VR_TOL)
-        logliks = regression_log_densities(sample.y, coeffs @ basis.T,
-                                           config.sigma).sum(axis=1).tolist()
-        for k, row in enumerate(coeffs.tolist(), start=1):
-            entries.append(FitResult(ThetaVR(row[:k]), logliks[k - 1], sweeps[k - 1],
-                                     converged[k - 1], 1))
+        entries = _vr_fits(sample, config, tuple(range(1, k_top + 1)))
     else:
         prev: FitResult | None = None
         for k in range(1, k_top + 1):

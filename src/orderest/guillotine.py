@@ -37,13 +37,10 @@ its memo.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 UNIT_BOX = (0.0, 1.0, 0.0, 1.0)  # (lo1, hi1, lo2, hi2)
 
@@ -405,23 +402,23 @@ def _kept_dp(kind: str, key, build):
 
 def fit_tree_empirical(x: np.ndarray, y: np.ndarray, k_leaves: int, depth_cap: int,
                        sigma: float, m_lo: float, m_hi: float) -> tuple[Node, float]:
-    """Best <=k_leaves guillotine tree for data (x, y); returns (tree, loglik).
+    """Best <=k_leaves guillotine tree for data (x, y); returns (tree, its sum
+    of squared residuals).
 
-    Ties within 1e-12 of log-likelihood go to the first candidate.  Without
-    data the tree is one leaf at the mark nearest 0.  Calls on the same data,
-    cap, box and sigma share one DP.
+    sigma only sets the tie tolerance: candidates within 1e-12 of Gaussian
+    log-likelihood at noise scale sigma go to the first.  Without data the
+    tree is one leaf at the mark nearest 0.  Calls on the same data, cap, box
+    and sigma share one DP.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    if n == 0:
+    if y.shape[0] == 0:
         return Leaf(min(max(0.0, m_lo), m_hi)), 0.0
     tol = 1e-12 * 2.0 * sigma ** 2  # 1e-12 of log-likelihood
     key = (x.shape, y.shape, x.tobytes(), y.tobytes(), repr((depth_cap, m_lo, m_hi, tol)))
     dp = _kept_dp("empirical", key,
                   lambda: _grid_dp(*_data_grid(x, y), depth_cap, m_lo, m_hi, tol))
-    tree, sse = dp(k_leaves)
-    return tree, n * (-0.5 * LOG_2PI - math.log(sigma)) - sse / (2.0 * sigma ** 2)
+    return dp(k_leaves)
 
 
 def _data_grid(x: np.ndarray, y: np.ndarray):
@@ -459,12 +456,12 @@ def _target_grid(target: Node):
     return ((e1[:-1], e1[1:]), (e2[:-1], e2[1:])), np.stack([area, area * f, area * f * f])
 
 
-def minimal_leaf_count(target: Node, depth_cap: int, m_lo: float, m_hi: float,
-                       tol: float = 1e-12) -> int:
-    """Smallest leaf budget whose population DP reproduces the target exactly."""
+def minimal_leaf_count(target: Node, depth_cap: int, m_lo: float, m_hi: float) -> int:
+    """Smallest leaf budget whose population DP reproduces the target exactly
+    (an SSE of at most 1e-12, for rounding)."""
     fit = _population_dp(target, depth_cap, m_lo, m_hi)
     for k in range(1, leaf_count(target) + 1):
         _, sse = fit(k)
-        if sse <= tol:
+        if sse <= 1e-12:
             return k
     return leaf_count(target)

@@ -8,11 +8,14 @@ Three families over a common interface:
   guillotine tree (recursive axis-aligned cuts, leaf marks); observations
   (x, y) with x uniform on [0,1]^2 and y = f_theta(x) + sigma * noise.
 - VR: regression on [0,1] over the cosine basis t_k(x) = sqrt(2) cos(k pi x),
-  theta = coefficient vector; x uniform on [0,1].  A VR Sample keeps its basis
-  matrix (Sample.vr_basis): built once at the widest K asked so far and read
-  by simulate, the fits and log_likelihood, so one trial builds it at most
-  twice instead of once per call.  Slicing the wide basis gives the same bits
-  as building a narrow one.
+  theta = coefficient vector; x uniform on [0,1], y = f_theta(x) + sigma * noise.
+  A VR Sample is the only owner of its basis matrix (Sample.vr_basis): built
+  at the widest K asked so far and read by the fits and log_likelihood.
+  Slicing the wide basis gives the same bits as building a narrow one.
+
+f_theta(x) of both regression families is computed in one place,
+eval_regression_fn, which simulate and point_log_densities call;
+log_likelihood on a VR Sample multiplies the sample's kept basis instead.
 
 Means, marks and coefficients live in the compact interval M = [m_lo, m_hi]
 from ModelConfig.  The families are nested: a K-parameter model embeds in the
@@ -181,7 +184,7 @@ class Sample:
     points has shape (n,) for LM (the z values), (n, 2) for VR (columns x, y)
     and (n, 3) for AC (columns x1, x2, y); n is read from the points.  A VR
     sample also keeps the cosine basis at its x (vr_basis), read-only like the
-    points.
+    points, and built only by vr_basis.
     """
 
     family: Family
@@ -232,10 +235,7 @@ class Sample:
         """The first n observations, sharing storage (for growing-path traces)."""
         if not 0 <= n <= self.n:
             raise UsageError(f"cannot take the first {n} of {self.n} observations")
-        sub = Sample(self.family, self.points[:n], self.seed)
-        if self._basis is not None:
-            sub._keep_basis(self._basis[:n])
-        return sub
+        return Sample(self.family, self.points[:n], self.seed)
 
     def vr_basis(self, k: int) -> np.ndarray:
         """The first k columns of vr_basis_matrix(self.x, ...), shape (n, k),
@@ -245,13 +245,10 @@ class Sample:
             raise UsageError(f"{self.family.value} samples have no cosine basis")
         basis = self._basis
         if basis is None or basis.shape[1] < k:
-            basis = self._keep_basis(vr_basis_matrix(self.x, k))
+            basis = vr_basis_matrix(self.x, k)
+            basis.setflags(write=False)
+            object.__setattr__(self, "_basis", basis)
         return basis[:, :k]
-
-    def _keep_basis(self, basis: np.ndarray) -> np.ndarray:
-        basis.setflags(write=False)
-        object.__setattr__(self, "_basis", basis)
-        return basis
 
 
 def _family_of(theta: Theta) -> Family:
@@ -362,18 +359,18 @@ def vr_basis_matrix(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def eval_regression_fn(config: ModelConfig, theta: Theta, x):
-    """f_theta(x) for the regression families; UsageError for LM."""
+    """f_theta(x) for the regression families, after checking theta; x is one
+    design point (a number for VR, (x1, x2) for AC) or an array of them
+    (shape (n,) for VR, (n, 2) for AC).  UsageError for LM."""
     if config.family is Family.LM:
         raise UsageError("LM has no regression function")
     validate_theta(config, theta)
-    if config.family is Family.VR:
-        xs = np.asarray(x, dtype=float)
-        vals = vr_basis_matrix(np.atleast_1d(xs), theta.k) @ np.asarray(theta.coeffs)
-        return float(vals[0]) if xs.ndim == 0 else vals
     xs = np.asarray(x, dtype=float)
-    if xs.ndim == 1:
-        return float(guillotine.eval_tree(theta.tree, xs))
-    return guillotine.eval_tree(theta.tree, xs)
+    if config.family is Family.AC:
+        vals = guillotine.eval_tree(theta.tree, xs)
+        return float(vals) if xs.ndim == 1 else vals
+    vals = vr_basis_matrix(np.atleast_1d(xs), theta.k) @ np.asarray(theta.coeffs)
+    return float(vals[0]) if xs.ndim == 0 else vals
 
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -418,27 +415,20 @@ def mixture_log_components(z: np.ndarray, weights, means, sigma: float) -> np.nd
 
 def point_log_densities(config: ModelConfig, theta: Theta, points: np.ndarray) -> np.ndarray:
     """log p_theta at every observation; points shaped like Sample.points."""
-    validate_theta(config, theta)
-    sigma = config.sigma
     pts = np.asarray(points, dtype=float)
     if config.family is Family.LM:
+        validate_theta(config, theta)
         z = np.atleast_1d(pts)
         if z.size == 0:
             return np.zeros(0)
-        return logsumexp_rows(mixture_log_components(z, theta.weights, theta.means, sigma))
+        return logsumexp_rows(mixture_log_components(z, theta.weights, theta.means,
+                                                     config.sigma))
     pts = pts.reshape(-1, pts.shape[-1]) if pts.ndim > 1 else pts[None, :]
     if pts.size == 0:
         return np.zeros(0)
-    x, y = pts[:, :-1], pts[:, -1]
-    if config.family is Family.VR:
-        return _vr_log_densities(vr_basis_matrix(x[:, 0], theta.k), theta, y, sigma)
-    return regression_log_densities(y, guillotine.eval_tree(theta.tree, x), sigma)
-
-
-def _vr_log_densities(basis: np.ndarray, theta: ThetaVR, y: np.ndarray,
-                      sigma: float) -> np.ndarray:
-    """The VR log-densities given the theta.k basis columns at x."""
-    return regression_log_densities(y, basis @ np.asarray(theta.coeffs), sigma)
+    x = pts[:, 0] if config.family is Family.VR else pts[:, :-1]
+    return regression_log_densities(pts[:, -1], eval_regression_fn(config, theta, x),
+                                    config.sigma)
 
 
 def regression_log_densities(y: np.ndarray, f: np.ndarray, sigma: float) -> np.ndarray:
@@ -462,33 +452,27 @@ def log_likelihood(config: ModelConfig, theta: Theta, sample: Sample) -> float:
         return 0.0
     if config.family is Family.VR:
         validate_theta(config, theta)
-        return float(np.sum(_vr_log_densities(sample.vr_basis(theta.k), theta, sample.y,
-                                              config.sigma)))
+        f = sample.vr_basis(theta.k) @ np.asarray(theta.coeffs)
+        return float(np.sum(regression_log_densities(sample.y, f, config.sigma)))
     return float(np.sum(point_log_densities(config, theta, sample.points)))
 
 
 def simulate(config: ModelConfig, theta_star: Theta, n: int, seed: int) -> Sample:
-    """n i.i.d. draws from P_theta_star; bit-identical for identical arguments."""
-    validate_theta(config, theta_star)
+    """n i.i.d. draws from P_theta_star; bit-identical for identical arguments.
+
+    LM draws a component label, then its mean plus noise.  VR and AC draw x
+    uniform on [0,1] (VR) or [0,1]^2 (AC), then y = f_theta_star(x) + noise."""
     if n < 1:
         raise UsageError("n must be >= 1")
     rng = rng_for(seed)
-    sigma = config.sigma
     if config.family is Family.LM:
+        validate_theta(config, theta_star)
         labels = rng.choice(theta_star.k, size=n, p=np.asarray(theta_star.weights))
-        z = np.asarray(theta_star.means)[labels] + sigma * rng.standard_normal(n)
+        z = np.asarray(theta_star.means)[labels] + config.sigma * rng.standard_normal(n)
         return Sample(Family.LM, z, int(seed))
-    if config.family is Family.VR:
-        x = rng.uniform(0.0, 1.0, n)
-        basis = vr_basis_matrix(x, theta_star.k)
-        y = basis @ np.asarray(theta_star.coeffs) + sigma * rng.standard_normal(n)
-        sample = Sample(Family.VR, np.column_stack([x, y]), int(seed))
-        sample._keep_basis(basis)
-        return sample
-    x = rng.uniform(0.0, 1.0, (n, 2))
-    f = guillotine.eval_tree(theta_star.tree, x)
-    y = f + sigma * rng.standard_normal(n)
-    return Sample(Family.AC, np.column_stack([x, y]), int(seed))
+    x = rng.uniform(0.0, 1.0, n if config.family is Family.VR else (n, 2))
+    y = eval_regression_fn(config, theta_star, x) + config.sigma * rng.standard_normal(n)
+    return Sample(config.family, np.column_stack([x, y]), int(seed))
 
 
 # ---------------------------------------------------------------------------

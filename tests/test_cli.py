@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,7 @@ def test_override_lands_in_manifest(flag, value, line, spec_file, tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--schedule", "nonsense"), ("--trials", "many"), ("--n-grid", "300 100"),
+    ("--n-grid", "0 5"),
 ])
 def test_bad_override_writes_nothing(flag, value, spec_file, tmp_path, capsys):
     out_dir = tmp_path / "bad"
@@ -265,3 +267,44 @@ def test_ac_fit_within_reach_runs(tmp_path):
     assert main(["fit", "--spec", str(path), "--sample", str(sample), "--k-top", "2",
                  "--out", str(fit)]) == 0
     assert len(fit.read_text().splitlines()) == 3
+
+
+LM_SPEC = """
+[model]
+family = LM
+sigma = 1.0
+theta.kind = lm
+theta.weights = 0.5 0.5
+theta.means = -1 1
+
+[schedule]
+spec = bic D=dim
+
+[run]
+mode = consistency
+n_grid = 200
+trials = 1
+k_max = 2
+output_dir = {out}
+"""
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["campaign", "--k-max", "64"], "mode=consistency"),
+    (["order", "--k-max", "64", "--sample", "missing.csv"], "mode=consistency"),
+    (["fit", "--k-top", "65", "--sample", "missing.csv"], "orderest fit"),
+], ids=["campaign", "order", "fit-k-top"])
+def test_lm_k_beyond_hard_cap_fails_before_any_fit(argv, what, tmp_path, capsys):
+    # K = 65 is past fitting.K_HARD_CAP: exit 2 at once, before the schedule
+    # warning, before the sample is read (missing.csv does not exist) and
+    # before any output is written
+    path = tmp_path / "lm.spec"
+    path.write_text(LM_SPEC.format(out=tmp_path / "out"))
+    start = time.perf_counter()
+    assert main([argv[0], "--spec", str(path), *argv[1:]]) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} fits K up to 65 (")
+    assert err.rstrip().endswith("but an LM mixture has at most the hard cap 64 components")
+    assert "warning" not in err and "missing.csv" not in err
+    assert not (tmp_path / "out").exists()

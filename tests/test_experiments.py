@@ -169,6 +169,23 @@ class TestParseSpec:
         with pytest.raises(UsageError):
             spec_for(tmp_path, n_grid=(100, 50))
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_grid_below_one_rejected(self, tmp_path, mode):
+        with pytest.raises(UsageError, match=re.escape("n_grid entries must be >= 1, got 0")):
+            spec_for(tmp_path, mode=mode, n_grid=(0, 5))
+
+    @pytest.mark.parametrize("mode, k_max", [("consistency", 64), ("entropy_table", 65)])
+    def test_lm_k_beyond_hard_cap_rejected(self, tmp_path, mode, k_max):
+        # an LM mixture has at most fitting.K_HARD_CAP = 64 components: the MC
+        # modes fit K up to k_max + 1, the entropy table K up to k_max
+        lm = dict(config=ModelConfig(Family.LM, sigma=1.0),
+                  theta_star=ThetaLM((0.5, 0.5), (-1.0, 1.0)), mode=mode)
+        spec_for(tmp_path, k_max=k_max - 1, **lm)
+        with pytest.raises(UsageError, match=re.escape(
+                f"mode={mode} fits K up to 65 (k_max = {k_max}), but an LM mixture "
+                "has at most the hard cap 64 components")):
+            spec_for(tmp_path, k_max=k_max, **lm)
+
     @pytest.mark.parametrize("mode, k_max", [("consistency", 2), ("under_exponent", 2),
                                              ("over_rate", 2), ("entropy_table", 3)])
     def test_ac_k_beyond_depth_cap_rejected(self, tmp_path, mode, k_max):
