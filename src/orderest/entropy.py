@@ -12,9 +12,10 @@ Location mixtures have no closed form; their divergences are computed by
 composite Gauss-Legendre quadrature and their projections by multi-start
 local search over the class (reported as method="optimized", with no claim
 of global optimality).  Every quadrature uses one 8-point Gauss-Legendre
-rule.  A projection minimizes the divergence discretized on one fixed panel
-grid, on which the target's log-density is evaluated once, and L-BFGS-B
-gets the exact gradient of that discretized objective.
+rule.  A projection minimizes the divergence discretized on one panel grid
+whose panels are sigma/8 wide, on which the target's log-density is
+evaluated once, and L-BFGS-B gets the exact gradient of that discretized
+objective.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ _PROJECTION_STARTS = 8  # L-BFGS starts of an LM projection
 _PROJECTION_SEED = 7  # seed of their jitter
 _QUAD_HALF_WIDTH = 12.0  # quadrature reaches this many sigmas past the outermost means
 # The projection grid reaches this many sigmas past the box and the target's
-# means, so it covers every candidate's mass; it has this many panels.
+# means, so it covers every candidate's mass; its panels are this many sigmas
+# wide, and a grid of more panels than the cap is refused.
 _PROJECTION_HALF_WIDTH = 13.0
-_PROJECTION_PANELS = 600
+_PROJECTION_PANEL_SIGMAS = 0.125
+_PROJECTION_MAX_PANELS = 2 ** 16
 # The Gauss-Legendre rule of every panel, on [-1, 1].
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -190,20 +193,36 @@ def _projection_objective(config: ModelConfig, target: ThetaLM, k: int, reverse:
     return objective
 
 
+def _projection_grid(config: ModelConfig, target: ThetaLM) -> tuple[float, float, int]:
+    """(lo, hi, panels) of a projection's grid: the box and the target's means
+    widened by _PROJECTION_HALF_WIDTH sigmas, in panels at most
+    _PROJECTION_PANEL_SIGMAS sigmas wide.  A grid past _PROJECTION_MAX_PANELS
+    panels raises UsageError."""
+    sigma = config.sigma
+    lo = min(min(target.means), config.m_lo) - _PROJECTION_HALF_WIDTH * sigma
+    hi = max(max(target.means), config.m_hi) + _PROJECTION_HALF_WIDTH * sigma
+    panels = math.ceil((hi - lo) / (_PROJECTION_PANEL_SIGMAS * sigma))
+    if panels > _PROJECTION_MAX_PANELS:
+        raise UsageError(
+            f"LM projection at sigma={sigma!r} over the box [{config.m_lo!r}, "
+            f"{config.m_hi!r}] needs {panels} panels of sigma/8, more than "
+            f"{_PROJECTION_MAX_PANELS}; raise sigma or narrow the box")
+    return lo, hi, panels
+
+
 def _project_lm(config: ModelConfig, target: ThetaLM, k: int,
                 reverse: bool) -> tuple[EntropyValue, ThetaLM]:
     """Multi-start local search for inf over Theta_K of the mixture divergence.
 
     reverse=False minimizes H(target | theta); reverse=True minimizes
     H(theta | target).  L-BFGS-B minimizes the divergence discretized on one
-    fixed panel grid, wide enough for any candidate in the box, with the exact
-    gradient of that sum (_projection_objective); the reported value is
-    re-evaluated with the adaptive quadrature at the optimum.
+    panel grid sized by sigma and wide enough for any candidate in the box
+    (_projection_grid), with the exact gradient of that sum
+    (_projection_objective); the grid only steers the search, and the reported
+    value is re-evaluated with the adaptive quadrature at the optimum.
     """
-    lo_z = min(min(target.means), config.m_lo) - _PROJECTION_HALF_WIDTH * config.sigma
-    hi_z = max(max(target.means), config.m_hi) + _PROJECTION_HALF_WIDTH * config.sigma
-    objective = _projection_objective(config, target, k, reverse, lo_z, hi_z,
-                                      _PROJECTION_PANELS)
+    objective = _projection_objective(config, target, k, reverse,
+                                      *_projection_grid(config, target))
 
     spread = np.quantile(np.asarray(target.means), (np.arange(k) + 0.5) / k) if k > 1 \
         else np.asarray([float(np.dot(target.weights, target.means))])

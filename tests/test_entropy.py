@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -333,10 +334,7 @@ class TestLmProjectionSearch:
         target = random_theta(LM, 3, rng)
         # the projection grid, and a grid that cuts off part of every
         # candidate's mass, where sum(w * p_theta) depends on theta
-        grids = [(min(min(target.means), LM.m_lo) - entropy._PROJECTION_HALF_WIDTH,
-                  max(max(target.means), LM.m_hi) + entropy._PROJECTION_HALF_WIDTH,
-                  entropy._PROJECTION_PANELS),
-                 (-2.5, 3.0, 40)]
+        grids = [entropy._projection_grid(LM, target), (-2.5, 3.0, 40)]
         points = [np.concatenate([rng.uniform(-5.0, 5.0, k - 1),
                                   rng.uniform(LM.m_lo, LM.m_hi, k)]) for _ in range(4)]
         points += [np.concatenate([np.full(k - 1, sign * 30.0), np.full(k, edge)])
@@ -369,6 +367,69 @@ class TestLmProjectionSearch:
                     assert theta.k == k
                     worst = max(worst, abs(got.value - want.value))
         assert worst <= 1e-9
+
+    def test_grid_sized_by_sigma(self):
+        target = ThetaLM((0.5, 0.5), (-1.0, 1.0))
+        # the box [-2, 2] widened by 13 sigmas on each side, in sigma/8 panels
+        assert entropy._projection_grid(LM, target) == (-15.0, 15.0, 240)
+        lo, hi, panels = entropy._projection_grid(ModelConfig(Family.LM, sigma=0.01), target)
+        assert (hi - lo) / panels <= 0.01 / 8 < (hi - lo) / (panels - 1)
+
+    @pytest.mark.parametrize("sigma", [0.001, 0.01, 0.1, 1.0, 3.0])
+    def test_grid_resolves_the_objective(self, sigma):
+        """The objective on the projection grid is within 1e-9 relative of the
+        same sum on a grid 4 times finer."""
+        config = ModelConfig(Family.LM, sigma=sigma)
+        targets = [ThetaLM((0.3, 0.4, 0.3), (-1.0, 0.37, 1.7)),
+                   ThetaLM((0.25, 0.75), (-0.4, 0.3))]
+        worst = 0.0
+        for i, target in enumerate(targets):
+            lo, hi, panels = entropy._projection_grid(config, target)
+            for k in (1, 2):
+                rng = rng_for(1717, i, k)
+                points = [np.concatenate([rng.uniform(-3.0, 3.0, k - 1),
+                                          rng.uniform(config.m_lo, config.m_hi, k)])
+                          for _ in range(3)]
+                for reverse in (False, True):
+                    grid = entropy._projection_objective(config, target, k, reverse,
+                                                         lo, hi, panels)
+                    finer = entropy._projection_objective(config, target, k, reverse,
+                                                          lo, hi, 4 * panels)
+                    for x in points:
+                        want = finer(x)[0]
+                        worst = max(worst, abs(grid(x)[0] - want) / want)
+        assert worst <= 1e-9
+
+    def test_k1_forward_is_the_clipped_mean(self):
+        """H(target | Pi_1) is attained at N(clip(sum w_i m_i)): the divergence
+        is a quadratic in the one mean, plus a constant.  The box is narrow,
+        so the box clips some of the jittered starts."""
+        config = ModelConfig(Family.LM, sigma=0.7, m_lo=-0.5, m_hi=1.5)
+        rng = rng_for(2828)
+        worst = 0.0
+        for _ in range(20):
+            target = random_theta(config, int(rng.integers(2, 5)), rng)
+            mean = np.clip(np.dot(target.weights, target.means), config.m_lo, config.m_hi)
+            want = kl_mixture_quadrature(target, ThetaLM((1.0,), (float(mean),)), config)
+            got = project_entropy(config, target, 1)
+            worst = max(worst, abs(got.value - want.value))
+        assert worst <= 1e-12
+
+    def test_unresolvable_grid_rejected(self):
+        target = ThetaLM((0.5, 0.5), (-1.0, 1.0))
+        # 32 / sigma + 208 panels on the box [-2, 2]: 2**16 is passed below
+        # sigma = 32 / 65328
+        ok = ModelConfig(Family.LM, sigma=5e-4)
+        assert entropy._projection_grid(ok, target)[2] == 64208 <= 2 ** 16
+        tiny = ModelConfig(Family.LM, sigma=4.8e-4)
+        for direction in (project_entropy, stein_bound):
+            start = time.perf_counter()
+            with pytest.raises(UsageError, match=r"sigma=0\.00048 .*\[-2\.0, 2\.0\]"
+                                                 r".* 66875 panels"):
+                direction(tiny, target, 1)
+            assert time.perf_counter() - start < 1.0
+        # a zero projection needs no grid
+        assert project_entropy(tiny, target, 2).value == 0.0
 
 
 class TestPythagorean:
