@@ -73,7 +73,10 @@ class ExponentFit:
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval; well behaved at p_hat in {0, 1}."""
+    """95% Wilson score interval; well behaved at p_hat in {0, 1}.  No trials
+    give [0, 1]; successes outside 0..trials raise UsageError."""
+    if not 0 <= successes <= max(trials, 0):
+        raise UsageError(f"successes = {successes} lies outside 0..trials = {trials}")
     if trials <= 0:
         return (0.0, 1.0)
     p = successes / trials

@@ -16,6 +16,11 @@ rule.  A projection minimizes the divergence discretized on one panel grid
 whose panels are sigma/8 wide, on which the target's log-density is
 evaluated once, and L-BFGS-B gets the exact gradient of that discretized
 objective.
+
+That L-BFGS-B search is the package's only use of scipy, so _project_lm
+imports scipy.optimize itself: importing orderest, and every run that projects
+no LM target, never loads scipy (about half a second and 40 MB).  An LM
+campaign that projects loads it while its spec is built (ExperimentSpec).
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import guillotine
 from .models import (
@@ -221,6 +225,8 @@ def _project_lm(config: ModelConfig, target: ThetaLM, k: int,
     (_projection_objective); the grid only steers the search, and the reported
     value is re-evaluated with the adaptive quadrature at the optimum.
     """
+    from scipy.optimize import minimize  # only here: see the module docstring
+
     objective = _projection_objective(config, target, k, reverse,
                                       *_projection_grid(config, target))
 

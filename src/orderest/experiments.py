@@ -96,6 +96,10 @@ class ExperimentSpec:
             self.check_reach(self.k_max if self.mode == "entropy_table"
                              else scan_top(self.k_max), f"mode={self.mode}")
         self.schedule()
+        if self.config.family is Family.LM and self.mode in ("entropy_table", "under_exponent"):
+            # the run projects an LM target, whose search needs scipy.optimize:
+            # pay its import while the spec is built, not inside the run
+            import scipy.optimize  # noqa: F401
 
     def check_reach(self, k_top: int, what: str) -> None:
         """Fail unless k_top >= 1 and the model can fit K = 1..k_top (an AC

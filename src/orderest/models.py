@@ -34,6 +34,10 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
+# numpy loads these on first use; loading them with the package keeps that
+# one-off cost out of a run (rng_for needs numpy.random, np.unique numpy.ma)
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from . import guillotine
 from .guillotine import Leaf, Node, Split

@@ -40,6 +40,11 @@ class TestWilson:
             lo, hi = wilson_interval(k, n)
             assert lo <= k / n <= hi
 
+    @pytest.mark.parametrize("k,n", [(5, 3), (-1, 3), (1, 0)])
+    def test_successes_outside_trials_rejected(self, k, n):
+        with pytest.raises(UsageError, match=rf"successes = {k} .*trials = {n}"):
+            wilson_interval(k, n)
+
 
 class TestOrderTrials:
     def test_deterministic_and_partition_invariant(self):

@@ -1,0 +1,114 @@
+"""What the package loads, each case in a fresh interpreter.
+
+scipy.optimize serves only the LM projection search; importing the package,
+the VR CLI commands and the campaigns that project no LM target never load
+scipy.  An LM spec whose run projects (entropy_table, under_exponent) loads
+scipy.optimize while it is built, and no campaign imports anything once it
+runs, so a module's first-use cost never lands inside a timed run."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PERFBENCH = ROOT / "perfbench"
+
+VR_SPEC = """
+[model]
+family = VR
+sigma = 1.0
+theta.kind = vr
+theta.coeffs = 1.0 0.5
+
+[schedule]
+spec = power:0.4 D=dim
+
+[run]
+n_grid = 200
+seed = 77
+k_max = 3
+output_dir = {out}
+"""
+
+
+def _workloads():
+    """perfbench/workloads.py as a module, without putting perfbench on sys.path."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def _fresh(code: str, *args: str) -> dict:
+    """Run code in a fresh interpreter that imports orderest from src/; the
+    code's last line of stdout is JSON, returned parsed."""
+    prelude = f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n"
+    proc = subprocess.run([sys.executable, "-c", prelude + code, *args],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+SCIPY_LOADED = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+
+@pytest.mark.parametrize("module", ["orderest", "orderest.cli"])
+def test_import_loads_no_scipy(module):
+    assert _fresh(f"import {module}\nprint(json.dumps({SCIPY_LOADED}))") == []
+
+
+def test_vr_commands_load_no_scipy(tmp_path):
+    spec = tmp_path / "vr.spec"
+    spec.write_text(VR_SPEC.format(out=tmp_path / "out"))
+    sample = tmp_path / "sample.csv"
+    code = f"""
+from orderest.cli import main
+spec, sample = {str(spec)!r}, {str(sample)!r}
+rcs = [main(["simulate", "--spec", spec, "--out", sample]),
+       main(["fit", "--spec", spec, "--sample", sample]),
+       main(["order", "--spec", spec, "--sample", sample])]
+print(json.dumps({{"rcs": rcs, "scipy": {SCIPY_LOADED}}}))
+"""
+    assert _fresh(code) == {"rcs": [0, 0, 0], "scipy": []}
+
+
+RUN_SPEC = """
+import contextlib, io
+from orderest import experiments
+spec = experiments.parse_spec(open(sys.argv[1]).read())
+built = sorted(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    rc = experiments.run(spec)
+print(json.dumps({"rc": rc, "optimize_at_build": "scipy.optimize" in built,
+                  "run_imported": sorted(set(sys.modules) - set(built))}))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(_workloads().WORKLOADS))
+def test_campaign_run_imports_nothing(name, tmp_path):
+    workloads = _workloads()
+    wl = workloads.WORKLOADS[name]
+    spec = tmp_path / "spec.txt"
+    spec.write_text(wl.spec_text(workloads.DEFAULT_SEED, "tiny", str(tmp_path / "out")))
+    res = _fresh(RUN_SPEC, str(spec))
+    projects_lm = "family = LM" in wl.model and wl.mode in ("entropy_table", "under_exponent")
+    assert res == {"rc": 0, "optimize_at_build": projects_lm, "run_imported": []}
+
+
+def test_lm_under_exponent_spec_loads_the_optimizer(tmp_path):
+    wl = _workloads().WORKLOADS["lm_mc"]
+    spec = tmp_path / "spec.txt"
+    spec.write_text(wl.spec_text(1, "tiny", str(tmp_path / "out"))
+                    .replace("mode = consistency", "mode = under_exponent"))
+    code = ("from orderest import experiments\n"
+            "experiments.parse_spec(open(sys.argv[1]).read())\n"
+            "print(json.dumps('scipy.optimize' in sys.modules))")
+    assert _fresh(code, str(spec)) is True
