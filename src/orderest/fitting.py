@@ -30,17 +30,21 @@
   descent with exact clipped coordinate updates) finishes from the previous
   block's optimum, to VR_TOL.
 - AC: exact dynamic programming over guillotine trees (see guillotine.py).
+  fit_ac builds one DP per call and asks it for every K it is given: one K
+  for fit_k, K = 1..K_top for profile().
 
 fit_k() dispatches a single-K fit by family and passes its warm= parameter
 to fit_lm_em, which embeds it (a parameter of a class <= K) into the K-th
 class as the first EM start, the one warm start rule; the exact VR and AC
-fits need none.  profile() fits K = 1..K_top, warm from the previous level,
-and enforces that the maximized log-likelihood never decreases in K.
+fits need none.  profile() fits K = 1..K_top, VR and AC in one call each and
+LM one K at a time, warm from the previous level, and enforces that the
+maximized log-likelihood never decreases in K.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -407,19 +411,22 @@ def fit_vr(sample: Sample, k: int, config: ModelConfig) -> FitResult:
 # AC: guillotine DP
 # ---------------------------------------------------------------------------
 
-def fit_ac(sample: Sample, k: int, config: ModelConfig) -> FitResult:
-    """Exact best <=K-leaf tree by dynamic programming."""
+def fit_ac(sample: Sample, config: ModelConfig, ks: Iterable[int]) -> list[FitResult]:
+    """The exact best <=K-leaf tree at each K of ks, in their order, all from
+    one dynamic program."""
     if config.family is not Family.AC or sample.family is not Family.AC:
         raise UsageError("fit_ac needs an AC config and sample")
-    if k < 1:
-        raise UsageError("K must be >= 1")
-    if k > 2 ** config.ac_depth_max:
-        raise UsageError(f"K={k} exceeds 2**ac_depth_max = {2 ** config.ac_depth_max}")
-    tree, _ = guillotine.fit_tree_empirical(sample.x, sample.y, k, config.ac_depth_max,
-                                            config.sigma, config.m_lo, config.m_hi)
-    theta = ThetaAC(tree)
-    return FitResult(theta=theta, loglik=log_likelihood(config, theta, sample),
-                     iterations=1, converged=True, starts_used=1)
+    ks = tuple(ks)
+    for k in ks:
+        if k < 1:
+            raise UsageError("K must be >= 1")
+        if k > 2 ** config.ac_depth_max:
+            raise UsageError(f"K={k} exceeds 2**ac_depth_max = {2 ** config.ac_depth_max}")
+    fits = guillotine.fit_tree_empirical(sample.x, sample.y, ks, config.ac_depth_max,
+                                         config.sigma, config.m_lo, config.m_hi)
+    thetas = [ThetaAC(tree) for tree, _ in fits]
+    return [FitResult(theta, log_likelihood(config, theta, sample), 1, True, 1)
+            for theta in thetas]
 
 
 def fit_k(sample: Sample, k: int, config: ModelConfig,
@@ -430,7 +437,7 @@ def fit_k(sample: Sample, k: int, config: ModelConfig,
         return fit_lm_em(sample, k, config, warm=warm)
     if config.family is Family.VR:
         return fit_vr(sample, k, config)
-    return fit_ac(sample, k, config)
+    return fit_ac(sample, config, (k,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +448,15 @@ def profile(sample: Sample, config: ModelConfig, k_top: int) -> ProfileCurve:
     """Fit K = 1..k_top with warm starts; enforce monotone loglik via embedding."""
     if k_top < 1:
         raise UsageError("k_top must be >= 1")
+    ks = tuple(range(1, k_top + 1))
     entries: list[FitResult] = []
     if config.family is Family.VR:
-        entries = _vr_fits(sample, config, tuple(range(1, k_top + 1)))
+        entries = _vr_fits(sample, config, ks)
+    elif config.family is Family.AC:
+        entries = fit_ac(sample, config, ks)
     else:
         prev: FitResult | None = None
-        for k in range(1, k_top + 1):
+        for k in ks:
             prev = fit_k(sample, k, config, warm=prev and prev.theta)
             entries.append(prev)
 

@@ -649,16 +649,24 @@ def sample_from_csv(text: str, seed: int = -1) -> Sample:
     """Rebuild a Sample from its CSV form.
 
     The CSV carries data only; the family comes from the header and the seed
-    is not stored (defaults to -1, "unknown").
+    is not stored (defaults to -1, "unknown").  A data row must have as many
+    fields as the header.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty sample CSV")
-    header = lines[0].strip()
+    header = lines[0][1].strip()
     families = {h: f for f, h in _SAMPLE_HEADERS.items()}
     if header not in families:
         raise ValueError(f"unrecognized sample header {header!r}")
     family = families[header]
-    rows = [tuple(float(v) for v in ln.split(",")[1:]) for ln in lines[1:]]
-    pts = np.asarray(rows, dtype=float).reshape(len(rows), -1 if rows else header.count(","))
+    width = header.count(",") + 1
+    rows = []
+    for i, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != width:
+            raise ValueError(f"sample CSV line {i}: {len(fields)} fields where "
+                             f"the header {header!r} has {width}")
+        rows.append([float(v) for v in fields[1:]])
+    pts = np.asarray(rows, dtype=float).reshape(len(rows), width - 1)
     return Sample(family, pts.ravel() if family is Family.LM else pts, seed)

@@ -162,6 +162,13 @@ def test_family_mismatch_between_spec_and_sample(spec_file, tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_sample_row_of_the_wrong_width_exits_2(spec_file, tmp_path, capsys):
+    sample = tmp_path / "vr.csv"
+    sample.write_text("idx,x1,y\n0,0.5,1.0\n1,0.25\n")
+    assert main(["fit", "--spec", spec_file, "--sample", str(sample)]) == 2
+    assert "line 3: 2 fields" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["invariants", "--seed", "3"],
     ["campaign", "--spec", None, "--mode", "invariants"],

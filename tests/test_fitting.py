@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,9 +8,9 @@ from scipy.special import logsumexp
 
 from orderest import (
     Family, Leaf, ModelConfig, ParameterError, Sample, Split, ThetaAC, ThetaLM, ThetaVR,
-    FitResult, UsageError, embed, estimate_orders, fit_ac, fit_lm_em, fit_vr,
+    FitResult, UsageError, embed, estimate_orders, fit_ac, fit_k, fit_lm_em, fit_vr,
     is_underestimation_prob, log_likelihood, parse_schedule, peeling_assert, profile,
-    random_theta, simulate,
+    project_entropy, random_theta, simulate, true_order,
 )
 from orderest import fitting, models
 from orderest.fitting import EM_MAX_ITER, EM_TOL, _box_qp, _lm_start_list
@@ -493,7 +495,7 @@ class TestVrBasisBuilds:
 class TestFitAc:
     def test_k1_closed_form(self):
         s = simulate(AC, TWO_CELL, 120, seed=5)
-        res = fit_ac(s, 1, AC)
+        [res] = fit_ac(s, AC, (1,))
         m = float(np.clip(s.y.mean(), AC.m_lo, AC.m_hi))
         expected = (-0.5 * s.n * math.log(2 * math.pi)
                     - 0.5 * float(((s.y - m) ** 2).sum()))
@@ -502,7 +504,7 @@ class TestFitAc:
     def test_two_cell_recovery_vs_single_split_oracle(self):
         noisy = ModelConfig(Family.AC, sigma=0.1, ac_depth_max=2)
         s = simulate(noisy, ThetaAC(Split(1, 0.4, Leaf(0.0), Leaf(1.0))), 500, seed=6)
-        res = fit_ac(s, 2, noisy)
+        [res] = fit_ac(s, noisy, (2,))
         tree = res.theta.tree
         assert isinstance(tree, Split) and tree.axis == 1
         x1 = np.sort(np.unique(s.x[:, 0]))
@@ -531,14 +533,14 @@ class TestFitAc:
 
     def test_single_point(self):
         s = Sample(Family.AC, np.array([[0.3, 0.6, 0.8]]), seed=0)
-        res = fit_ac(s, 2, AC)
+        [res] = fit_ac(s, AC, (2,))
         assert res.loglik == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_k_exceeding_depth_cap(self):
         s = simulate(AC, TWO_CELL, 30, seed=0)
         shallow = ModelConfig(Family.AC, sigma=1.0, ac_depth_max=1)
         with pytest.raises(UsageError):
-            fit_ac(s, 3, shallow)
+            fit_ac(s, shallow, (3,))
 
     @pytest.mark.parametrize("depth, n_max, ks, datasets", [
         pytest.param(2, 30, (1, 2, 3, 4), 8, id="depth2"),
@@ -574,8 +576,8 @@ class TestFitAc:
                                            + enum_best(high, k - k_lo, depth - 1))
                 return best
 
-            for k in ks:
-                _, sse = guillotine.fit_tree_empirical(x, y, k, depth, 1.0, -2.0, 2.0)
+            fits = guillotine.fit_tree_empirical(x, y, ks, depth, 1.0, -2.0, 2.0)
+            for k, (_, sse) in zip(ks, fits):
                 assert sse == pytest.approx(enum_best(np.arange(n), k, depth), abs=2e-9), \
                     (trial, k)
 
@@ -750,8 +752,9 @@ class TestTreeDpOracle:
             tol = 1e-12 * 2.0 * sigma ** 2
             oracle = _grid_dp_per_cut_recursion(*guillotine._data_grid(x, y), cap, m_lo, m_hi,
                                                 tol)
-            for k in range(1, min(5, 2 ** cap) + 1):
-                tree, sse = guillotine.fit_tree_empirical(x, y, k, cap, sigma, m_lo, m_hi)
+            ks = range(1, min(5, 2 ** cap) + 1)
+            for k, (tree, sse) in zip(ks, guillotine.fit_tree_empirical(x, y, ks, cap, sigma,
+                                                                        m_lo, m_hi)):
                 want, want_sse = oracle(k)
                 assert sse == pytest.approx(want_sse, abs=tol), (i, k)
                 assert guillotine.leaf_count(tree) <= k and guillotine.tree_depth(tree) <= cap
@@ -808,8 +811,8 @@ class TestTreeDpOracle:
             config = ModelConfig(Family.AC, sigma=1.0, ac_depth_max=cap)
             oracle = _grid_dp_per_cut_recursion(*guillotine._data_grid(x, y), cap,
                                                 config.m_lo, config.m_hi, 2e-12)
-            for k in range(1, min(4, 2 ** cap) + 1):
-                res = fit_ac(sample, k, config)
+            ks = range(1, min(4, 2 ** cap) + 1)
+            for k, res in zip(ks, fit_ac(sample, config, ks)):
                 tree = res.theta.tree
                 guillotine.validate_tree(tree)
                 assert guillotine.leaf_count(tree) <= k and guillotine.tree_depth(tree) <= cap
@@ -824,7 +827,7 @@ _FRESH_DP = guillotine._grid_dp  # builds a fresh DP; never counted
 
 @pytest.fixture
 def dp_builds(monkeypatch):
-    """Counts the DPs guillotine builds; starts with neither fit's DP kept."""
+    """Counts the DPs guillotine builds."""
     builds = []
 
     def counted(*args, **kwargs):
@@ -832,7 +835,6 @@ def dp_builds(monkeypatch):
         return _FRESH_DP(*args, **kwargs)
 
     monkeypatch.setattr(guillotine, "_grid_dp", counted)
-    monkeypatch.setattr(guillotine, "_KEPT", {})
     return builds
 
 
@@ -857,9 +859,19 @@ def _shared_dp_datasets():
     return out
 
 
+class _HeldDp:
+    """A DP behind an object that a weak reference can follow."""
+
+    def __init__(self, dp):
+        self.dp = dp
+
+    def __call__(self, k):
+        return self.dp(k)
+
+
 class TestSharedDp:
-    """One kept DP per kind answers every K, in any order, exactly as a fresh
-    DP per K does; any change to its inputs builds a new one."""
+    """Each call builds one DP, which answers every K the call asks, in any
+    order, exactly as a fresh DP per K does; no DP outlives its call."""
 
     def test_empirical_any_k_order_equals_fresh_dp(self, dp_builds):
         rng = rng_for(84)
@@ -869,13 +881,28 @@ class TestSharedDp:
             fresh = {k: _FRESH_DP(*guillotine._data_grid(x, y), cap, m_lo, m_hi, tol)(k)
                      for k in ks}
             for order in _k_orders(rng, ks):
-                guillotine._KEPT.clear()
                 del dp_builds[:]
-                for k in order:
-                    got = guillotine.fit_tree_empirical(x, y, k, cap, sigma, m_lo, m_hi)
-                    assert (repr(got[0]), got[1]) == (repr(fresh[k][0]), fresh[k][1]), \
-                        (i, order, k)
+                got = guillotine.fit_tree_empirical(x, y, order, cap, sigma, m_lo, m_hi)
                 assert len(dp_builds) == 1, (i, order)
+                assert [(repr(tree), sse) for tree, sse in got] == \
+                    [(repr(fresh[k][0]), fresh[k][1]) for k in order], (i, order)
+
+    def test_fit_ac_any_k_order_equals_fresh_dp(self, dp_builds):
+        rng = rng_for(87)
+        for i, x, y, cap, m_lo, m_hi, sigma in _shared_dp_datasets():
+            config = ModelConfig(Family.AC, sigma=sigma, m_lo=m_lo, m_hi=m_hi, ac_depth_max=cap)
+            sample = Sample(Family.AC, np.column_stack([x, y]), seed=0)
+            tol = 1e-12 * 2.0 * sigma ** 2
+            ks = range(1, min(5, 2 ** cap) + 1)
+            fresh = {k: ThetaAC(_FRESH_DP(*guillotine._data_grid(x, y), cap, m_lo, m_hi,
+                                          tol)(k)[0]) for k in ks}
+            for order in _k_orders(rng, ks):
+                del dp_builds[:]
+                got = fit_ac(sample, config, order)
+                assert len(dp_builds) == 1, (i, order)
+                assert [(repr(r.theta), r.loglik) for r in got] == \
+                    [(repr(fresh[k]), log_likelihood(config, fresh[k], sample))
+                     for k in order], (i, order)
 
     def test_population_any_k_order_equals_fresh_dp(self, dp_builds):
         rng = rng_for(85)
@@ -889,14 +916,15 @@ class TestSharedDp:
             fresh = {k: _FRESH_DP(*guillotine._target_grid(target), cap, m_lo, m_hi, 1e-15)(k)
                      for k in range(1, max(5, leaves) + 1)}
             smallest = next((k for k in range(1, leaves + 1) if fresh[k][1] <= 1e-12), leaves)
+            del dp_builds[:]
+            assert guillotine.minimal_leaf_count(target, cap, m_lo, m_hi) == smallest
+            assert len(dp_builds) == 1, i
             for order in _k_orders(rng, ks):
-                guillotine._KEPT.clear()
                 del dp_builds[:]
-                assert guillotine.minimal_leaf_count(target, cap, m_lo, m_hi) == smallest
                 for k in order:
                     tree, sse = guillotine.fit_tree_population(target, k, cap, m_lo, m_hi)
                     assert (repr(tree), sse) == (repr(fresh[k][0]), fresh[k][1]), (i, order, k)
-                assert len(dp_builds) == 1, (i, order)
+                assert len(dp_builds) == len(order), (i, order)
 
     def test_profile_equals_fit_ac_per_k(self, dp_builds):
         for i, x, y, cap, m_lo, m_hi, sigma in _shared_dp_datasets():
@@ -907,55 +935,29 @@ class TestSharedDp:
             prof = profile(sample, config, k_top)
             assert len(dp_builds) == 1, i
             for k in range(1, k_top + 1):
-                guillotine._KEPT.clear()  # fit_ac from a fresh DP
-                assert repr(prof.result(k)) == repr(fit_ac(sample, k, config)), (i, k)
+                assert repr(prof.result(k)) == repr(fit_k(sample, k, config)), (i, k)
 
-    @pytest.mark.parametrize("change", ["x", "m_lo", "m_hi", "sigma", "depth_cap",
-                                        "x in place", "y in place"])
-    def test_empirical_key_misses(self, dp_builds, change):
-        rng = rng_for(86)
-        x = rng.uniform(0.0, 1.0, (40, 2))
-        y = (x[:, 0] > 0.5) - 1.5 + 0.3 * rng.standard_normal(40)  # marks near -1.5, -0.5
-        args = dict(depth_cap=2, sigma=1.0, m_lo=-2.0, m_hi=2.0)
-        guillotine.fit_tree_empirical(x, y, 3, **args)
-        guillotine.fit_tree_empirical(x, y, 2, **args)
-        assert len(dp_builds) == 1
-        if change == "x":
-            x = x[::-1].copy()  # equal y, points moved
-        elif change == "x in place":
-            x[:, 1] = 1.0 - x[:, 1]
-        elif change == "y in place":
-            y[:5] += 1.0
-        else:
-            args[change] = {"m_lo": -1.0, "m_hi": -1.0 + 1e-9, "sigma": 0.5,
-                            "depth_cap": 1}[change]
-        for k in (3, 2):
-            got = guillotine.fit_tree_empirical(x, y, k, **args)
-            tol = 1e-12 * 2.0 * args["sigma"] ** 2
-            tree, sse = _FRESH_DP(*guillotine._data_grid(x, y), args["depth_cap"],
-                                  args["m_lo"], args["m_hi"], tol)(k)
-            assert (repr(got[0]), got[1]) == (repr(tree), sse), (change, k)
-        assert len(dp_builds) == 2, change
+    def test_no_dp_outlives_its_call(self, monkeypatch):
+        refs = []
 
-    @pytest.mark.parametrize("change", ["target", "m_lo", "m_hi", "depth_cap"])
-    def test_population_key_misses(self, dp_builds, change):
-        target = Split(1, 0.5, Split(2, 0.3, Leaf(-1.5), Leaf(-0.5)), Leaf(1.0))
-        args = dict(depth_cap=2, m_lo=-2.0, m_hi=2.0)
-        guillotine.fit_tree_population(target, 3, **args)
-        assert guillotine.minimal_leaf_count(target, **args) == 3
-        assert len(dp_builds) == 1
-        if change == "target":
-            target = Split(1, 0.5, Split(2, 0.3, Leaf(-1.5), Leaf(-0.4)), Leaf(1.0))
-        else:
-            args[change] = {"m_lo": -1.0, "m_hi": 0.5, "depth_cap": 1}[change]
-        for k in (3, 2):
-            got = guillotine.fit_tree_population(target, k, **args)
-            tree, sse = _FRESH_DP(*guillotine._target_grid(target), args["depth_cap"],
-                                  args["m_lo"], args["m_hi"], 1e-15)(k)
-            assert (repr(got[0]), got[1]) == (repr(tree), sse), (change, k)
-        assert len(dp_builds) == 2, change
+        def held(*args, **kwargs):
+            dp = _HeldDp(_FRESH_DP(*args, **kwargs))
+            refs.append(weakref.ref(dp))
+            return dp
 
-
+        monkeypatch.setattr(guillotine, "_grid_dp", held)
+        sample = simulate(AC, TWO_CELL, 60, seed=9)
+        calls = {"profile": lambda: profile(sample, AC, 4),
+                 "fit_k": lambda: fit_k(sample, 3, AC),
+                 "true_order": lambda: true_order(AC, TWO_CELL),
+                 "project_entropy": lambda: project_entropy(AC, ThetaAC(
+                     Split(1, 0.5, Split(2, 0.5, Leaf(0.0), Leaf(0.5)), Leaf(1.0))), 2)}
+        for name, call in calls.items():
+            del refs[:]
+            call()
+            gc.collect()
+            assert refs, name
+            assert [r() for r in refs] == [None] * len(refs), name
 def _coordinate_descent_logliks(sample, config, k_top):
     """The VR profile log-likelihoods by warm-started coordinate descent on each
     leading block of the Gram matrix, to tolerance 1e-12, dips repaired."""

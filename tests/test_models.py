@@ -84,6 +84,18 @@ class TestValidation:
         with pytest.raises(ParameterError, match="point 0 is not finite"):
             sample_from_csv("idx,x1,y\n0,0.5,inf\n")
 
+    @pytest.mark.parametrize("text, message", [
+        # an LM row too wide used to read as two observations
+        ("idx,z\n0,0.5\n1,1.5,2.5\n", "line 3: 3 fields where the header 'idx,z' has 2"),
+        # an LM row too short used to be dropped (n = 0)
+        ("idx,z\n\n0\n", "line 3: 1 fields where the header 'idx,z' has 2"),
+        ("idx,x1,y\n0,0.5,1.0\n1,0.25\n",
+         "line 3: 2 fields where the header 'idx,x1,y' has 3"),
+    ], ids=["lm too wide", "lm too short", "vr too short"])
+    def test_sample_csv_rejects_rows_of_the_wrong_width(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_from_csv(text)
+
     def test_tree_depth_cap(self):
         from orderest.models import validate_theta
         deep = ThetaAC(Split(1, 0.5, Split(2, 0.5, Leaf(0.0), Leaf(0.1)), Leaf(1.0)))

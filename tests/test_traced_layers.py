@@ -58,10 +58,8 @@ def test_one_estimate_reads_crit_values_once(monkeypatch):
     assert sorted(est.crit_values) == [1, 2, 3]
 
 
-@pytest.mark.parametrize("name", sorted(_load("workloads").WORKLOADS))
-def test_each_workload_reaches_its_layers(name, tmp_path):
-    # the traced benchmark fails a workload whose layers record no calls; a
-    # kernel that bypasses one of them must fail here first
+def _traced_tiny_run(name: str, tmp_path):
+    """The tracer's metrics of one run of the workload's tiny spec."""
     workloads = _load("workloads")
     wl = workloads.WORKLOADS[name]
     spec = experiments.parse_spec(wl.spec_text(workloads.DEFAULT_SEED, "tiny",
@@ -73,5 +71,21 @@ def test_each_workload_reaches_its_layers(name, tmp_path):
             assert experiments.run(spec) == 0
     finally:
         tracer.uninstall()
-    metrics = tracer.metrics()
+    return tracer.metrics()
+
+
+@pytest.mark.parametrize("name", sorted(_load("workloads").WORKLOADS))
+def test_each_workload_reaches_its_layers(name, tmp_path):
+    # the traced benchmark fails a workload whose layers record no calls; a
+    # kernel that bypasses one of them must fail here first
+    metrics = _traced_tiny_run(name, tmp_path)
+    wl = _load("workloads").WORKLOADS[name]
     assert [layer for layer in wl.layers if not metrics[f"{layer}.calls"]] == []
+
+
+def test_ac_profile_fits_every_k_in_one_call(tmp_path):
+    metrics = _traced_tiny_run("ac_mc", tmp_path)
+    profiles = metrics["fitting.profile.calls"]
+    assert profiles > 0
+    assert (metrics["fitting.fit_ac.calls"], metrics["guillotine.fit_tree_empirical.calls"]) \
+        == (profiles, profiles)
