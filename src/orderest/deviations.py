@@ -176,7 +176,7 @@ def is_underestimation_prob(config: ModelConfig, theta_star: Theta, theta0: Thet
     if k_star < 2:
         raise UsageError("underestimation needs K* >= 2")
     if theta0 is None:
-        _, theta0 = project_entropy(config, theta_star, k_star - 1, return_argmin=True)
+        [(_, theta0)] = project_entropy(config, theta_star, (k_star - 1,))
     if true_order(config, theta0) > k_star - 1:
         raise UsageError("theta0 must lie in the (K*-1)-th class")
     logw = np.empty(trials)

@@ -6,7 +6,9 @@ is ||f_a - f_b||_2^2 / (2 sigma^2) in L2 of the design measure, which gives
 closed forms: a coefficient-difference sum for VR (orthonormal basis) and an
 area-weighted mark-difference sum over the overlay partition for AC.  The
 same identity makes the two projection directions (class-to-target and
-target-to-class) coincide for these families.
+target-to-class) coincide for these families.  project_entropy and
+stein_bound take one target and a sequence of K: the target's true order is
+found once per call, and for AC one population DP answers every K.
 
 Location mixtures have no closed form; their divergences are computed by
 composite Gauss-Legendre quadrature and their projections by multi-start
@@ -26,13 +28,14 @@ campaign that projects loads it while its spec is built (ExperimentSpec).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import guillotine
 from .models import (
-    Family, ModelConfig, Theta, ThetaAC, ThetaLM, ThetaVR, UsageError, embed,
+    Family, ModelConfig, Theta, ThetaAC, ThetaLM, ThetaVR, UsageError, check_k, embed,
     logsumexp_rows, mixture_log_components, rng_for, true_order, validate_theta,
 )
 
@@ -216,15 +219,10 @@ def _projection_grid(config: ModelConfig, target: ThetaLM) -> tuple[float, float
 
 def _project_lm(config: ModelConfig, target: ThetaLM, k: int,
                 reverse: bool) -> tuple[EntropyValue, ThetaLM]:
-    """Multi-start local search for inf over Theta_K of the mixture divergence.
-
-    reverse=False minimizes H(target | theta); reverse=True minimizes
-    H(theta | target).  L-BFGS-B minimizes the divergence discretized on one
-    panel grid sized by sigma and wide enough for any candidate in the box
-    (_projection_grid), with the exact gradient of that sum
-    (_projection_objective); the grid only steers the search, and the reported
-    value is re-evaluated with the adaptive quadrature at the optimum.
-    """
+    """Multi-start L-BFGS-B for inf over Theta_K of H(target | theta), or of
+    H(theta | target) with reverse, on the grid of _projection_grid.  The grid
+    only steers the search: the value at the optimum is re-evaluated by the
+    adaptive quadrature."""
     from scipy.optimize import minimize  # only here: see the module docstring
 
     objective = _projection_objective(config, target, k, reverse,
@@ -251,68 +249,62 @@ def _project_lm(config: ModelConfig, target: ThetaLM, k: int,
     return EntropyValue(max(acc.value, 0.0), "optimized", max(acc.tol, 1e-6)), theta_hat
 
 
-def _project_regression(config: ModelConfig, target: Theta, k: int) -> tuple[EntropyValue, Theta]:
-    if config.family is Family.VR:
-        coeffs = np.asarray(target.coeffs)
-        tail = float((coeffs[k:] ** 2).sum()) if coeffs.size > k else 0.0
-        head = tuple(coeffs[:k]) + (0.0,) * max(0, k - coeffs.size)
-        return (EntropyValue(tail / (2.0 * config.sigma ** 2), "closed_form", 0.0),
-                ThetaVR(head))
-    tree, sse = guillotine.fit_tree_population(target.tree, k, config.ac_depth_max,
-                                               config.m_lo, config.m_hi)
-    return (EntropyValue(sse / (2.0 * config.sigma ** 2), "closed_form", 1e-12),
-            ThetaAC(tree))
-
-
-def _project(config: ModelConfig, target: Theta, k: int, return_argmin: bool, reverse: bool):
-    if k < 1:
-        raise UsageError("K must be >= 1")
+def _project(config: ModelConfig, target: Theta, ks: Iterable[int], reverse: bool):
+    """(divergence, argmin) at each K of ks, in their order.  The target's
+    true order K* and reduced form are found once; below K*, AC reads every K
+    from one population DP over K = 1..its leaf count."""
+    ks = tuple(ks)
+    for k in ks:
+        check_k(config, k)
     validate_theta(config, target)
-    if true_order(config, target) <= k:
-        out = EntropyValue(0.0, "closed_form", 0.0)
-        argmin = embed(config, _reduced(config, target), k)
-    elif config.family is Family.LM:
-        out, argmin = _project_lm(config, target, k, reverse)
+    if isinstance(target, ThetaAC):
+        fits = guillotine.fit_tree_population(target.tree, range(1, target.k + 1),
+                                              config.ac_depth_max, config.m_lo, config.m_hi)
+        k_star = guillotine.exact_leaf_count(fits)
+        reduced = ThetaAC(fits[k_star - 1][0])
     else:
-        out, argmin = _project_regression(config, target, k)
-    return (out, argmin) if return_argmin else out
+        k_star = true_order(config, target)
+        reduced = _reduced(target, k_star)
+    s2 = 2.0 * config.sigma ** 2
+    out = []
+    for k in ks:
+        if k >= k_star:
+            out.append((EntropyValue(0.0, "closed_form", 0.0), embed(config, reduced, k)))
+        elif config.family is Family.LM:
+            out.append(_project_lm(config, target, k, reverse))
+        elif config.family is Family.VR:
+            coeffs = np.asarray(target.coeffs)
+            out.append((EntropyValue(float((coeffs[k:] ** 2).sum()) / s2, "closed_form", 0.0),
+                        ThetaVR(tuple(coeffs[:k]))))
+        else:
+            tree, sse = fits[k - 1]
+            out.append((EntropyValue(sse / s2, "closed_form", 1e-12), ThetaAC(tree)))
+    return out
 
 
-def project_entropy(config: ModelConfig, target: Theta, k: int, return_argmin: bool = False):
-    """H(P_target | Pi_K): distance from the target to the K-th class.
-
-    Closed form for VR (orthonormal tail sum) and AC (population tree DP);
-    multi-start local search over Theta_K for LM.
-    """
-    return _project(config, target, k, return_argmin, reverse=False)
+def project_entropy(config: ModelConfig, target: Theta, ks: Iterable[int]):
+    """H(P_target | Pi_K) and its argmin at each K of ks: the closed forms
+    for VR and AC, multi-start local search over Theta_K for LM."""
+    return _project(config, target, ks, reverse=False)
 
 
-def stein_bound(config: ModelConfig, target: Theta, k: int, return_argmin: bool = False):
-    """H(Pi_K | P_target): the class-to-target infimum.
-
-    This is the quantity bounding the achievable underestimation error
-    exponent (at K = K*-1).  For the Gaussian regression families it equals
-    project_entropy by the L2 identity; for LM the optimization runs with the
-    divergence arguments swapped.
-    """
-    return _project(config, target, k, return_argmin, reverse=True)
+def stein_bound(config: ModelConfig, target: Theta, ks: Iterable[int]):
+    """H(Pi_K | P_target) and its argmin at each K of ks: at K = K*-1, the
+    bound on the underestimation exponent.  It equals project_entropy for VR
+    and AC by the L2 identity; LM swaps the divergence's arguments."""
+    return _project(config, target, ks, reverse=True)
 
 
-def _reduced(config: ModelConfig, theta: Theta) -> Theta:
+def _reduced(theta: ThetaLM | ThetaVR, k_star: int) -> ThetaLM | ThetaVR:
     """theta re-expressed in its own true order's class."""
-    k_star = true_order(config, theta)
-    if isinstance(theta, ThetaLM):
-        merged: dict[float, float] = {}
-        for w, m in zip(theta.weights, theta.means):
-            if w > 0.0:
-                merged[m] = merged.get(m, 0.0) + w
-        w = np.asarray(list(merged.values()))
-        return ThetaLM(tuple(w / w.sum()), tuple(merged.keys()))
     if isinstance(theta, ThetaVR):
         return ThetaVR(theta.coeffs[:k_star])
-    tree, _ = guillotine.fit_tree_population(theta.tree, k_star, config.ac_depth_max,
-                                             config.m_lo, config.m_hi)
-    return ThetaAC(tree)
+    merged: dict[float, float] = {}
+    for w, m in zip(theta.weights, theta.means):
+        if w > 0.0:
+            merged[m] = merged.get(m, 0.0) + w
+    w = np.asarray(list(merged.values()))
+    return ThetaLM(tuple(w / w.sum()), tuple(merged.keys()))
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,11 @@ from .deviations import (
     is_underestimation_prob, mc_error_probs, peeling_assert,
 )
 from .entropy import kl_divergence, project_entropy, stein_bound
-from .fitting import K_HARD_CAP, fit_lm_em, profile
+from .fitting import fit_lm_em, profile
 from .models import (
-    Family, ModelConfig, Theta, UsageError, _config_from_map, _kv_lines, _kv_parse, _kv_text,
-    _theta_from_map, config_to_kv, csv_text, derive_seed, random_theta, rng_for, simulate,
-    theta_to_kv, true_order, validate_theta,
+    K_HARD_CAP, Family, ModelConfig, Theta, UsageError, _config_from_map, _kv_lines, _kv_parse,
+    _kv_text, _theta_from_map, config_to_kv, csv_text, derive_seed, random_theta, rng_for,
+    simulate, theta_to_kv, true_order, validate_theta,
 )
 
 MODES = ("consistency", "under_exponent", "over_rate", "entropy_table", "invariants")
@@ -305,10 +305,10 @@ def report_invariants(seed: int) -> int:
 
 def entropy_table(spec: ExperimentSpec, k_top: int) -> str:
     """CSV of both projection directions of theta* onto the classes K = 1..k_top."""
+    ks = range(1, k_top + 1)
     rows = []
-    for k in range(1, k_top + 1):
-        p = project_entropy(spec.config, spec.theta_star, k)
-        s = stein_bound(spec.config, spec.theta_star, k)
+    for k, (p, _), (s, _) in zip(ks, project_entropy(spec.config, spec.theta_star, ks),
+                                 stein_bound(spec.config, spec.theta_star, ks)):
         rows += [(k, "target_to_class", p.value, p.method, p.tol),
                  (k, "class_to_target", s.value, s.method, s.tol)]
     return csv_text("K,direction,value,method,tol", rows)

@@ -52,11 +52,10 @@ import numpy as np
 from . import guillotine
 from .models import (
     Family, ModelConfig, ParameterError, Sample, Theta, ThetaAC, ThetaLM, ThetaVR,
-    UsageError, csv_text, embed, log_likelihood, logsumexp_rows, mixture_log_components,
-    regression_log_densities, rng_for,
+    UsageError, check_k, csv_text, embed, log_likelihood, logsumexp_rows,
+    mixture_log_components, regression_log_densities, rng_for,
 )
 
-K_HARD_CAP = 64  # mixture sizes past this are a usage error, not a model
 EM_TOL = 1e-8  # stop EM once an EM step gains less log-likelihood than this
 EM_MAX_ITER = 500  # E-passes (log-likelihood evaluations) per EM start
 VR_TOL = 1e-10  # coordinate descent stops when no coefficient moves this far
@@ -286,8 +285,7 @@ def fit_lm_em(sample: Sample, k: int, config: ModelConfig, starts: int = 10,
         raise UsageError("fit_lm_em needs an LM config and sample")
     if k < 1 or starts < 1:
         raise UsageError("need K >= 1 and starts >= 1")
-    if k > K_HARD_CAP:
-        raise UsageError(f"K={k} exceeds the hard cap {K_HARD_CAP}")
+    check_k(config, k)
     z = sample.z
     inits = _lm_start_list(z, k, config, starts, sample.seed)
     if warm is not None:
@@ -418,10 +416,7 @@ def fit_ac(sample: Sample, config: ModelConfig, ks: Iterable[int]) -> list[FitRe
         raise UsageError("fit_ac needs an AC config and sample")
     ks = tuple(ks)
     for k in ks:
-        if k < 1:
-            raise UsageError("K must be >= 1")
-        if k > 2 ** config.ac_depth_max:
-            raise UsageError(f"K={k} exceeds 2**ac_depth_max = {2 ** config.ac_depth_max}")
+        check_k(config, k)
     fits = guillotine.fit_tree_empirical(sample.x, sample.y, ks, config.ac_depth_max,
                                          config.sigma, config.m_lo, config.m_hi)
     thetas = [ThetaAC(tree) for tree, _ in fits]

@@ -2,9 +2,10 @@
 
 A guillotine tree recursively splits an axis-aligned rectangle with cuts
 parallel to the axes; leaves carry a constant mark.  Both tree fits find the
-best <=K-leaf tree under squared error, each cell's constant being the mean
-of its mass clipped to [m_lo, m_hi], with one dynamic program over a 2-D grid
-of atoms (weight, sum, sum of squares).  For fit_tree_empirical the grid
+best <=K-leaf tree under squared error at every K they are asked, each cell's
+constant being the mean of its mass clipped to [m_lo, m_hi], with one
+dynamic program per call, over a 2-D grid of atoms (weight, sum, sum of
+squares); no DP outlives its call.  For fit_tree_empirical the grid
 lines are the distinct x1 and x2 values and the atoms are the data points
 (1, y, y^2): Gaussian ML with known sigma.  For fit_tree_population they are
 the target's elementary intervals and the rectangles between them (area,
@@ -404,18 +405,14 @@ def _data_grid(x: np.ndarray, y: np.ndarray):
     return ((u1, u1), (u2, u2)), atoms
 
 
-def fit_tree_population(target: Node, k_leaves: int, depth_cap: int,
-                        m_lo: float, m_hi: float) -> tuple[Node, float]:
-    """Best <=k_leaves tree approximating a target tree in L2(area).
-
-    Returns (tree, integral of (f_target - f_tree)^2); candidate cuts are the
-    target's own cuts.  Ties within 1e-15 of SSE go to the first candidate.
-    """
-    return _population_dp(target, depth_cap, m_lo, m_hi)(k_leaves)
-
-
-def _population_dp(target: Node, depth_cap: int, m_lo: float, m_hi: float):
-    return _grid_dp(*_target_grid(target), depth_cap, m_lo, m_hi, tol=1e-15)
+def fit_tree_population(target: Node, ks: Iterable[int], depth_cap: int,
+                        m_lo: float, m_hi: float) -> list[tuple[Node, float]]:
+    """Best <=k-leaf tree approximating a target tree in L2(area) at each k of
+    ks, in their order; returns [(tree, integral of (f_target - f_tree)^2)],
+    all from one DP.  Candidate cuts are the target's own cuts; ties within
+    1e-15 of SSE go to the first candidate."""
+    dp = _grid_dp(*_target_grid(target), depth_cap, m_lo, m_hi, tol=1e-15)
+    return [dp(k) for k in ks]
 
 
 def _target_grid(target: Node):
@@ -430,11 +427,12 @@ def _target_grid(target: Node):
 
 
 def minimal_leaf_count(target: Node, depth_cap: int, m_lo: float, m_hi: float) -> int:
-    """Smallest leaf budget whose population DP reproduces the target exactly
-    (an SSE of at most 1e-12, for rounding)."""
-    fit = _population_dp(target, depth_cap, m_lo, m_hi)
-    for k in range(1, leaf_count(target) + 1):
-        _, sse = fit(k)
-        if sse <= 1e-12:
-            return k
-    return leaf_count(target)
+    """Smallest leaf budget whose population fit reproduces the target."""
+    return exact_leaf_count(fit_tree_population(target, range(1, leaf_count(target) + 1),
+                                                depth_cap, m_lo, m_hi))
+
+
+def exact_leaf_count(fits: list[tuple[Node, float]]) -> int:
+    """The first k whose fit, of fits at k = 1, 2, ..., has an SSE of at most
+    1e-12 (exact but for rounding); the last k when none has."""
+    return next((k for k, (_, sse) in enumerate(fits, 1) if sse <= 1e-12), len(fits))

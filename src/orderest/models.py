@@ -44,6 +44,7 @@ from .guillotine import Leaf, Node, Split
 
 LOG_2PI = math.log(2.0 * math.pi)
 _SEED_MASK = (1 << 64) - 1
+K_HARD_CAP = 64  # mixture sizes past this are a usage error, not a model
 
 __all__ = [
     "Family", "ModelConfig", "ThetaLM", "ThetaVR", "ThetaAC", "Theta", "Sample",
@@ -51,7 +52,7 @@ __all__ = [
     "log_density", "logsumexp_rows", "mixture_log_components", "point_log_densities",
     "regression_log_densities",
     "log_likelihood", "eval_regression_fn",
-    "vr_basis_matrix", "validate_theta", "theta_dim", "true_order", "embed",
+    "vr_basis_matrix", "validate_theta", "theta_dim", "check_k", "true_order", "embed",
     "random_theta", "Leaf", "Split",
     "CONFIG_KEYS", "config_to_kv", "config_from_kv", "theta_to_kv", "theta_from_kv",
     "csv_text", "sample_to_csv", "sample_from_csv", "fmt",
@@ -293,6 +294,17 @@ def theta_dim(family: Family, k: int) -> int:
     return k if family is Family.VR else 2 * k - 1
 
 
+def check_k(config: ModelConfig, k: int) -> None:
+    """Fail unless K >= 1 and the K-th class is one the package handles: AC
+    trees of at most 2**ac_depth_max leaves, LM mixtures of at most K_HARD_CAP."""
+    if k < 1:
+        raise UsageError("K must be >= 1")
+    if config.family is Family.AC and k > 2 ** config.ac_depth_max:
+        raise UsageError(f"K={k} exceeds 2**ac_depth_max = {2 ** config.ac_depth_max}")
+    if config.family is Family.LM and k > K_HARD_CAP:
+        raise UsageError(f"K={k} exceeds the hard cap {K_HARD_CAP}")
+
+
 def true_order(config: ModelConfig, theta: Theta) -> int:
     """Lowest K whose class contains the distribution of theta.
 
@@ -320,6 +332,7 @@ def embed(config: ModelConfig, theta: Theta, k: int) -> Theta:
     leaves into equal-mark halves.
     """
     validate_theta(config, theta)
+    check_k(config, k)
     if isinstance(theta, ThetaLM):
         if k < theta.k:
             raise UsageError(f"cannot embed K={theta.k} into K={k}")

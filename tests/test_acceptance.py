@@ -57,9 +57,10 @@ def test_criterion_01_entropy_oracle_equivalence():
 
 def test_criterion_02_closed_form_projections():
     t0 = time.time()
-    p_vr = project_entropy(VR, VR_STAR, 1).value
-    s_vr = stein_bound(VR, VR_STAR, 1).value
-    p_ac = project_entropy(AC, AC_STAR, 1).value
+    [(p_vr, _)] = project_entropy(VR, VR_STAR, (1,))
+    [(s_vr, _)] = stein_bound(VR, VR_STAR, (1,))
+    [(p_ac, _)] = project_entropy(AC, AC_STAR, (1,))
+    p_vr, s_vr, p_ac = p_vr.value, s_vr.value, p_ac.value
     ok = (abs(p_vr - 0.125) <= 1e-12 and abs(s_vr - 0.125) <= 1e-12
           and p_vr == s_vr and abs(p_ac - 0.125) <= 1e-10)
     report(2, "closed-form projections",
@@ -71,8 +72,7 @@ def test_criterion_03_strict_decrease_of_projections():
     details = []
     ok = True
     for config, theta in ((VR, VR_STAR), (AC, AC_STAR), (LM, LM_STAR)):
-        v1 = project_entropy(config, theta, 1)
-        v2 = project_entropy(config, theta, 2)
+        (v1, _), (v2, _) = project_entropy(config, theta, (1, 2))
         gap = v1.value - v2.value
         tol = max(v1.tol, v2.tol)
         ok = ok and gap > 10 * tol

@@ -302,7 +302,7 @@ output_dir = {out}
     (["fit", "--k-top", "65", "--sample", "missing.csv"], "orderest fit"),
 ], ids=["campaign", "order", "fit-k-top"])
 def test_lm_k_beyond_hard_cap_fails_before_any_fit(argv, what, tmp_path, capsys):
-    # K = 65 is past fitting.K_HARD_CAP: exit 2 at once, before the schedule
+    # K = 65 is past models.K_HARD_CAP: exit 2 at once, before the schedule
     # warning, before the sample is read (missing.csv does not exist) and
     # before any output is written
     path = tmp_path / "lm.spec"

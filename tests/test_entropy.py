@@ -11,7 +11,7 @@ from orderest import (
 )
 from scipy.optimize import minimize
 
-from orderest import entropy
+from orderest import entropy, guillotine
 from orderest.entropy import EntropyValue, kl_divergence
 from orderest.models import (
     logsumexp_rows, mixture_log_components, random_theta, rng_for, vr_basis_matrix,
@@ -228,32 +228,31 @@ class TestMixtureQuadrature:
 
 class TestProjections:
     def test_in_class_is_zero(self):
-        assert project_entropy(VR, ThetaVR((1.0, 0.5)), 2).value == 0.0
-        assert project_entropy(VR, ThetaVR((1.0, 0.5)), 3).value == 0.0
-        assert stein_bound(AC, TWO_CELL, 2).value == 0.0
+        (p2, _), (p3, _) = project_entropy(VR, ThetaVR((1.0, 0.5)), (2, 3))
+        assert p2.value == p3.value == 0.0
+        assert stein_bound(AC, TWO_CELL, (2,))[0][0].value == 0.0
 
     def test_vr_tail_sum(self):
-        out = project_entropy(VR, ThetaVR((1.0, 0.5)), 1)
+        [(out, _)] = project_entropy(VR, ThetaVR((1.0, 0.5)), (1,))
         assert out.value == 0.125 and out.method == "closed_form"
-        assert stein_bound(VR, ThetaVR((1.0, 0.5)), 1).value == 0.125
+        assert stein_bound(VR, ThetaVR((1.0, 0.5)), (1,))[0][0].value == 0.125
 
     def test_vr_project_equals_stein_exactly(self):
         rng = rng_for(55)
         for _ in range(10):
             theta = ThetaVR(tuple(rng.uniform(-1.5, 1.5, 4)))
-            for k in (1, 2, 3):
-                p = project_entropy(VR, theta, k).value
-                s = stein_bound(VR, theta, k).value
-                assert p == s  # identical closed forms, bitwise
+            ks = (1, 2, 3)
+            for (p, _), (s, _) in zip(project_entropy(VR, theta, ks), stein_bound(VR, theta, ks)):
+                assert p.value == s.value  # identical closed forms, bitwise
 
     def test_ac_two_cell(self):
-        out = project_entropy(AC, TWO_CELL, 1)
+        [(out, _)] = project_entropy(AC, TWO_CELL, (1,))
         assert out.value == pytest.approx(0.125, abs=1e-10)
-        assert stein_bound(AC, TWO_CELL, 1).value == pytest.approx(0.125, abs=1e-10)
+        assert stein_bound(AC, TWO_CELL, (1,))[0][0].value == pytest.approx(0.125, abs=1e-10)
 
     def test_lm_projection_vs_grid_oracle(self):
         theta = ThetaLM((0.5, 0.5), (-2.0, 2.0))
-        proj = project_entropy(LM, theta, 1)
+        [(proj, _)] = project_entropy(LM, theta, (1,))
         assert proj.method == "optimized" and proj.value > 0.0
 
         # dense grid over the single mean, KL by fixed fine quadrature
@@ -276,7 +275,7 @@ class TestProjections:
 
     def test_lm_stein_vs_grid_oracle(self):
         theta = ThetaLM((0.5, 0.5), (-2.0, 2.0))
-        sb = stein_bound(LM, theta, 1)
+        [(sb, _)] = stein_bound(LM, theta, (1,))
         grid_m = np.linspace(LM.m_lo, LM.m_hi, 1601)
         z, wz = np.polynomial.legendre.leggauss(8)
         edges = np.linspace(-16.0, 16.0, 1601)
@@ -295,25 +294,44 @@ class TestProjections:
             best = min(best, float(np.sum(ws * pb * (lb - lmix))))
         assert sb.value == pytest.approx(best, abs=1e-4)
         # the two directions genuinely differ for mixtures
-        assert abs(sb.value - project_entropy(LM, theta, 1).value) > 0.1
+        assert abs(sb.value - project_entropy(LM, theta, (1,))[0][0].value) > 0.1
 
     def test_lm_strict_decrease(self):
         theta = ThetaLM((0.5, 0.5), (-2.0, 2.0))
-        v1 = project_entropy(LM, theta, 1)
-        v2 = project_entropy(LM, theta, 2)
+        (v1, _), (v2, _) = project_entropy(LM, theta, (1, 2))
         assert v2.value == 0.0
         assert v1.value - v2.value > 10 * max(v1.tol, v2.tol)
 
     def test_monotone_in_k(self):
         theta = ThetaVR((1.0, 0.5, 0.25))
-        vals = [project_entropy(VR, theta, k).value for k in (1, 2, 3, 4)]
+        vals = [v.value for v, _ in project_entropy(VR, theta, (1, 2, 3, 4))]
         assert vals == sorted(vals, reverse=True)
         assert vals[0] > vals[1] > vals[2] == vals[3] == 0.0
 
+    def test_ac_k_beyond_depth_cap_fails_before_any_dp(self, monkeypatch):
+        def no_dp(*args, **kwargs):
+            raise AssertionError("a DP was built")
+
+        monkeypatch.setattr(guillotine, "_grid_dp", no_dp)
+        shallow = ModelConfig(Family.AC, sigma=1.0, ac_depth_max=1)
+        for direction in (project_entropy, stein_bound):
+            with pytest.raises(UsageError, match=r"K=3 exceeds 2\*\*ac_depth_max = 2"):
+                direction(shallow, TWO_CELL, (1, 2, 3))
+
+    def test_lm_k_beyond_hard_cap_fails_before_any_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a projection was searched")
+
+        monkeypatch.setattr(entropy, "_project_lm", no_search)
+        target = ThetaLM((0.5, 0.5), (-2.0, 2.0))
+        for direction in (project_entropy, stein_bound):
+            with pytest.raises(UsageError, match="K=65 exceeds the hard cap 64"):
+                direction(LM, target, (1, 65))
+
     def test_argmin_returned(self):
-        out, argmin = project_entropy(VR, ThetaVR((1.0, 0.5)), 1, return_argmin=True)
+        [(out, argmin)] = project_entropy(VR, ThetaVR((1.0, 0.5)), (1,))
         assert argmin == ThetaVR((1.0,))
-        out, argmin = stein_bound(AC, TWO_CELL, 1, return_argmin=True)
+        [(out, argmin)] = stein_bound(AC, TWO_CELL, (1,))
         assert argmin.k == 1 and argmin.tree.mark == pytest.approx(0.5)
 
 
@@ -358,9 +376,9 @@ class TestLmProjectionSearch:
         worst = 0.0
         for _ in range(12):
             target = random_theta(LM, int(rng.integers(2, 4)), rng)
-            for k in range(1, target.k):
-                for direction in (project_entropy, stein_bound):
-                    got, theta = direction(LM, target, k, return_argmin=True)
+            ks = range(1, target.k)
+            for direction in (project_entropy, stein_bound):
+                for k, (got, theta) in zip(ks, direction(LM, target, ks)):
                     want, _ = finite_difference_project_lm(
                         LM, target, k, reverse=direction is stein_bound)
                     assert (got.method, got.tol) == (want.method, want.tol)
@@ -411,7 +429,7 @@ class TestLmProjectionSearch:
             target = random_theta(config, int(rng.integers(2, 5)), rng)
             mean = np.clip(np.dot(target.weights, target.means), config.m_lo, config.m_hi)
             want = kl_mixture_quadrature(target, ThetaLM((1.0,), (float(mean),)), config)
-            got = project_entropy(config, target, 1)
+            [(got, _)] = project_entropy(config, target, (1,))
             worst = max(worst, abs(got.value - want.value))
         assert worst <= 1e-12
 
@@ -426,10 +444,10 @@ class TestLmProjectionSearch:
             start = time.perf_counter()
             with pytest.raises(UsageError, match=r"sigma=0\.00048 .*\[-2\.0, 2\.0\]"
                                                  r".* 66875 panels"):
-                direction(tiny, target, 1)
+                direction(tiny, target, (1,))
             assert time.perf_counter() - start < 1.0
         # a zero projection needs no grid
-        assert project_entropy(tiny, target, 2).value == 0.0
+        assert project_entropy(tiny, target, (2,))[0][0].value == 0.0
 
 
 class TestPythagorean:

@@ -176,7 +176,7 @@ class TestParseSpec:
 
     @pytest.mark.parametrize("mode, k_max", [("consistency", 64), ("entropy_table", 65)])
     def test_lm_k_beyond_hard_cap_rejected(self, tmp_path, mode, k_max):
-        # an LM mixture has at most fitting.K_HARD_CAP = 64 components: the MC
+        # an LM mixture has at most models.K_HARD_CAP = 64 components: the MC
         # modes fit K up to k_max + 1, the entropy table K up to k_max
         lm = dict(config=ModelConfig(Family.LM, sigma=1.0),
                   theta_star=ThetaLM((0.5, 0.5), (-1.0, 1.0)), mode=mode)

@@ -10,9 +10,11 @@ from orderest import (
     Family, Leaf, ModelConfig, ParameterError, Sample, Split, ThetaAC, ThetaLM, ThetaVR,
     FitResult, UsageError, embed, estimate_orders, fit_ac, fit_k, fit_lm_em, fit_vr,
     is_underestimation_prob, log_likelihood, parse_schedule, peeling_assert, profile,
-    project_entropy, random_theta, simulate, true_order,
+    project_entropy, random_theta, simulate, stein_bound, true_order,
 )
 from orderest import fitting, models
+from orderest.entropy import EntropyValue
+from orderest.experiments import ExperimentSpec, entropy_table
 from orderest.fitting import EM_MAX_ITER, EM_TOL, _box_qp, _lm_start_list
 from orderest.models import (
     derive_seed, logsumexp_rows, mixture_log_components, rng_for, vr_basis_matrix,
@@ -619,8 +621,9 @@ class TestFitAc:
                 return best
 
             for cap in (1, 2, 3):
-                for k in range(1, min(5, 2 ** cap) + 1):
-                    tree, sse = guillotine.fit_tree_population(target, k, cap, m_lo, m_hi)
+                ks = range(1, min(5, 2 ** cap) + 1)
+                for k, (tree, sse) in zip(ks, guillotine.fit_tree_population(target, ks, cap,
+                                                                            m_lo, m_hi)):
                     oracle = enum_best([0.0, 1.0, 0.0, 1.0], k, cap)
                     assert sse == pytest.approx(oracle, abs=1e-12), (trial, cap, k)
                     assert guillotine.leaf_count(tree) <= k
@@ -776,8 +779,9 @@ class TestTreeDpOracle:
             for cap in (1, 2, 3):
                 oracle = _grid_dp_per_cut_recursion(*guillotine._target_grid(target), cap,
                                                     m_lo, m_hi, 1e-15)
-                for k in range(1, min(5, 2 ** cap) + 1):
-                    tree, sse = guillotine.fit_tree_population(target, k, cap, m_lo, m_hi)
+                ks = range(1, min(5, 2 ** cap) + 1)
+                for k, (tree, sse) in zip(ks, guillotine.fit_tree_population(target, ks, cap,
+                                                                            m_lo, m_hi)):
                     want, want_sse = oracle(k)
                     assert sse == pytest.approx(want_sse, abs=1e-12), (i, cap, k)
                     fits += 1
@@ -859,6 +863,12 @@ def _shared_dp_datasets():
     return out
 
 
+def _marks_rounded(node):
+    if isinstance(node, Leaf):
+        return Leaf(float(node.mark > 0.0))
+    return Split(node.axis, node.cut, _marks_rounded(node.low), _marks_rounded(node.high))
+
+
 class _HeldDp:
     """A DP behind an object that a weak reference can follow."""
 
@@ -921,10 +931,10 @@ class TestSharedDp:
             assert len(dp_builds) == 1, i
             for order in _k_orders(rng, ks):
                 del dp_builds[:]
-                for k in order:
-                    tree, sse = guillotine.fit_tree_population(target, k, cap, m_lo, m_hi)
-                    assert (repr(tree), sse) == (repr(fresh[k][0]), fresh[k][1]), (i, order, k)
-                assert len(dp_builds) == len(order), (i, order)
+                got = guillotine.fit_tree_population(target, order, cap, m_lo, m_hi)
+                assert len(dp_builds) == 1, (i, order)
+                assert [(repr(tree), sse) for tree, sse in got] == \
+                    [(repr(fresh[k][0]), fresh[k][1]) for k in order], (i, order)
 
     def test_profile_equals_fit_ac_per_k(self, dp_builds):
         for i, x, y, cap, m_lo, m_hi, sigma in _shared_dp_datasets():
@@ -937,6 +947,54 @@ class TestSharedDp:
             for k in range(1, k_top + 1):
                 assert repr(prof.result(k)) == repr(fit_k(sample, k, config)), (i, k)
 
+    def test_projection_table_builds_one_dp(self, dp_builds):
+        config = ModelConfig(Family.AC, sigma=1.0, ac_depth_max=3)
+        target = ThetaAC(Split(1, 0.5, Split(2, 0.3, Leaf(0.0), Split(1, 0.2, Leaf(1.0),
+                                                                      Leaf(-0.5))),
+                               Split(2, 0.6, Leaf(1.5), Leaf(-1.0))))
+        for direction in (project_entropy, stein_bound):
+            del dp_builds[:]
+            direction(config, target, range(1, 9))
+            assert len(dp_builds) == 1, direction
+        spec = ExperimentSpec(config, target, "bic D=dim", mode="entropy_table", k_max=6)
+        del dp_builds[:]
+        entropy_table(spec, 6)
+        assert len(dp_builds) == 2
+
+    def test_projection_any_k_order_equals_fresh_dp(self, dp_builds):
+        """Below K* each answer is a fresh single-K population DP's fit; from
+        K* on it is zero, at the K*-leaf fit embedded into the K-th class."""
+        rng = rng_for(88)
+        reducible = 0
+        for i in range(24):
+            depth = 1 + i % 3
+            target = guillotine.random_tree(rng, int(rng.integers(1, 2 ** depth + 1)), depth,
+                                            -3.0, 3.0)
+            if i % 3 == 2:  # marks rounded to 0 or 1, which often makes K* < leaves
+                target = _marks_rounded(target)
+            m_lo, m_hi = (-3.0, 3.0) if i % 4 == 0 else (-3.5, 3.5)
+            sigma = (0.5, 1.0)[i % 2]
+            config = ModelConfig(Family.AC, sigma=sigma, m_lo=m_lo, m_hi=m_hi,
+                                 ac_depth_max=depth)
+            leaves = guillotine.leaf_count(target)
+            fresh = {k: _FRESH_DP(*guillotine._target_grid(target), depth, m_lo, m_hi,
+                                  1e-15)(k) for k in range(1, leaves + 1)}
+            k_star = next((k for k in fresh if fresh[k][1] <= 1e-12), leaves)
+            reduced = ThetaAC(fresh[k_star][0])
+            ks = range(1, 2 ** depth + 1)
+            want = {k: (EntropyValue(fresh[k][1] / (2.0 * sigma ** 2), "closed_form", 1e-12),
+                        ThetaAC(fresh[k][0])) if k < k_star else
+                    (EntropyValue(0.0, "closed_form", 0.0), embed(config, reduced, k))
+                    for k in ks}
+            for order in _k_orders(rng, ks):
+                for direction in (project_entropy, stein_bound):
+                    del dp_builds[:]
+                    got = direction(config, ThetaAC(target), order)
+                    assert len(dp_builds) == 1, (i, order)
+                    assert repr(got) == repr([want[k] for k in order]), (i, order)
+            reducible += k_star < leaves
+        assert reducible >= 3, reducible
+
     def test_no_dp_outlives_its_call(self, monkeypatch):
         refs = []
 
@@ -947,11 +1005,14 @@ class TestSharedDp:
 
         monkeypatch.setattr(guillotine, "_grid_dp", held)
         sample = simulate(AC, TWO_CELL, 60, seed=9)
+        three_cell = ThetaAC(Split(1, 0.5, Split(2, 0.5, Leaf(0.0), Leaf(0.5)), Leaf(1.0)))
+        spec = ExperimentSpec(AC, three_cell, "bic D=dim", mode="entropy_table", k_max=4)
         calls = {"profile": lambda: profile(sample, AC, 4),
                  "fit_k": lambda: fit_k(sample, 3, AC),
                  "true_order": lambda: true_order(AC, TWO_CELL),
-                 "project_entropy": lambda: project_entropy(AC, ThetaAC(
-                     Split(1, 0.5, Split(2, 0.5, Leaf(0.0), Leaf(0.5)), Leaf(1.0))), 2)}
+                 "project_entropy": lambda: project_entropy(AC, three_cell, (1, 2)),
+                 "stein_bound": lambda: stein_bound(AC, three_cell, (2, 1, 4)),
+                 "entropy_table": lambda: entropy_table(spec, 4)}
         for name, call in calls.items():
             del refs[:]
             call()

@@ -309,6 +309,11 @@ class TestNesting:
         assert log_likelihood(AC, wider, s) == pytest.approx(
             log_likelihood(AC, TWO_CELL, s), abs=1e-12)
 
+    def test_ac_embedding_beyond_depth_cap_is_a_usage_error(self):
+        shallow = ModelConfig(Family.AC, sigma=1.0, ac_depth_max=1)
+        with pytest.raises(UsageError, match=r"K=3 exceeds 2\*\*ac_depth_max = 2"):
+            embed(shallow, TWO_CELL, 3)
+
     def test_true_order(self):
         assert true_order(VR, ThetaVR((1.0, 0.5, 0.0))) == 2
         assert true_order(VR, ThetaVR((0.0,))) == 1

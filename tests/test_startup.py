@@ -1,10 +1,11 @@
 """What the package loads, each case in a fresh interpreter.
 
 scipy.optimize serves only the LM projection search; importing the package,
-the VR CLI commands and the campaigns that project no LM target never load
-scipy.  An LM spec whose run projects (entropy_table, under_exponent) loads
-scipy.optimize while it is built, and no campaign imports anything once it
-runs, so a module's first-use cost never lands inside a timed run."""
+the VR CLI commands, the VR and AC projection tables and the campaigns that
+project no LM target never load scipy.  An LM spec whose run projects
+(entropy_table, under_exponent) loads scipy.optimize while it is built, and
+no campaign imports anything once it runs, so a module's first-use cost never
+lands inside a timed run."""
 
 import importlib.util
 import json
@@ -32,6 +33,28 @@ spec = power:0.4 D=dim
 n_grid = 200
 seed = 77
 k_max = 3
+output_dir = {out}
+"""
+
+AC_SPEC = """
+[model]
+family = AC
+sigma = 1.0
+ac_depth_max = 3
+theta.kind = ac
+theta.tree.r = split 1 0.5
+theta.tree.r0 = split 2 0.3
+theta.tree.r00 = leaf 0
+theta.tree.r01 = leaf 1
+theta.tree.r1 = leaf -1
+
+[schedule]
+spec = bic D=dim
+
+[run]
+n_grid = 100
+seed = 77
+k_max = 4
 output_dir = {out}
 """
 
@@ -78,6 +101,23 @@ rcs = [main(["simulate", "--spec", spec, "--out", sample]),
 print(json.dumps({{"rcs": rcs, "scipy": {SCIPY_LOADED}}}))
 """
     assert _fresh(code) == {"rcs": [0, 0, 0], "scipy": []}
+
+
+@pytest.mark.parametrize("text, k_max", [(AC_SPEC, 4), (VR_SPEC, 3)], ids=["AC", "VR"])
+def test_entropy_command_loads_no_scipy(text, k_max, tmp_path):
+    """A regression family's projection table is closed form: no optimizer."""
+    spec = tmp_path / "model.spec"
+    spec.write_text(text.format(out=tmp_path / "out"))
+    code = f"""
+import contextlib, io
+from orderest.cli import main
+table = io.StringIO()
+with contextlib.redirect_stdout(table):
+    rc = main(["entropy", "--spec", {str(spec)!r}])
+print(json.dumps({{"rc": rc, "rows": len(table.getvalue().splitlines()),
+                  "scipy": {SCIPY_LOADED}}}))
+"""
+    assert _fresh(code) == {"rc": 0, "rows": 1 + 2 * k_max, "scipy": []}
 
 
 RUN_SPEC = """
