@@ -51,8 +51,8 @@ from .deviations import (
 from .entropy import kl_divergence, project_entropy, stein_bound
 from .fitting import fit_lm_em, profile
 from .models import (
-    K_HARD_CAP, Family, ModelConfig, Theta, UsageError, _config_from_map, _kv_lines, _kv_parse,
-    _kv_text, _theta_from_map, config_to_kv, csv_text, derive_seed, random_theta, rng_for,
+    Family, ModelConfig, Theta, UsageError, _config_from_map, _kv_lines, _kv_parse, _kv_text,
+    _theta_from_map, check_k, config_to_kv, csv_text, derive_seed, random_theta, rng_for,
     simulate, theta_to_kv, true_order, validate_theta,
 )
 
@@ -102,20 +102,11 @@ class ExperimentSpec:
             import scipy.optimize  # noqa: F401
 
     def check_reach(self, k_top: int, what: str) -> None:
-        """Fail unless k_top >= 1 and the model can fit K = 1..k_top (an AC
-        tree has at most 2**ac_depth_max leaves, an LM mixture at most
-        K_HARD_CAP components); what names the mode or command that fits them."""
-        if k_top < 1:
-            raise UsageError(f"{what} needs K >= 1, got {k_top}")
-        family, depth = self.config.family, self.config.ac_depth_max
-        if family is Family.AC and k_top > 2 ** depth:
-            raise UsageError(
-                f"{what} fits K up to {k_top} (k_max = {self.k_max}), but a tree "
-                f"of ac_depth_max = {depth} has at most {2 ** depth} leaves")
-        if family is Family.LM and k_top > K_HARD_CAP:
-            raise UsageError(
-                f"{what} fits K up to {k_top} (k_max = {self.k_max}), but an LM "
-                f"mixture has at most the hard cap {K_HARD_CAP} components")
+        """models.check_k of k_top, its error prefixed by what: the fitting mode or command."""
+        try:
+            check_k(self.config, k_top)
+        except UsageError as err:
+            raise UsageError(f"{what} (k_max = {self.k_max}): {err}") from None
 
     def schedule(self) -> PenaltySchedule:
         # D must reach every K the estimators read
@@ -304,13 +295,14 @@ def report_invariants(seed: int) -> int:
 
 
 def entropy_table(spec: ExperimentSpec, k_top: int) -> str:
-    """CSV of both projection directions of theta* onto the classes K = 1..k_top."""
-    ks = range(1, k_top + 1)
-    rows = []
-    for k, (p, _), (s, _) in zip(ks, project_entropy(spec.config, spec.theta_star, ks),
-                                 stein_bound(spec.config, spec.theta_star, ks)):
-        rows += [(k, "target_to_class", p.value, p.method, p.tol),
-                 (k, "class_to_target", s.value, s.method, s.tol)]
+    """CSV of both projection directions of theta* onto the classes K = 1..k_top;
+    they coincide for VR and AC (the L2 identity), which project once."""
+    config, target, ks = spec.config, spec.theta_star, range(1, k_top + 1)
+    forward = project_entropy(config, target, ks)
+    backward = stein_bound(config, target, ks) if config.family is Family.LM else forward
+    rows = [(k, direction, e.value, e.method, e.tol)
+            for k, (p, _), (s, _) in zip(ks, forward, backward)
+            for direction, e in (("target_to_class", p), ("class_to_target", s))]
     return csv_text("K,direction,value,method,tol", rows)
 
 

@@ -26,9 +26,9 @@
   exact optimum of the convex quadratic.  The identity padding and block
   masks of a set of blocks are built once and kept (_vr_blocks), and when
   every block's solution lies inside the box _vr_optima returns at once.
-  Where a bound binds or a block is singular, _box_qp (cyclic coordinate
-  descent with exact clipped coordinate updates) finishes from the previous
-  block's optimum, to VR_TOL.
+  Where a bound binds or a block is singular, _box_lsq (a finite active-set
+  method) finishes from the previous block's optimum: every VR fit is exact,
+  and FitResult.iterations counts its active-set changes.
 - AC: exact dynamic programming over guillotine trees (see guillotine.py).
   fit_ac builds one DP per call and asks it for every K it is given: one K
   for fit_k, K = 1..K_top for profile().
@@ -44,6 +44,7 @@ maximized log-likelihood never decreases in K.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
@@ -58,8 +59,6 @@ from .models import (
 
 EM_TOL = 1e-8  # stop EM once an EM step gains less log-likelihood than this
 EM_MAX_ITER = 500  # E-passes (log-likelihood evaluations) per EM start
-VR_TOL = 1e-10  # coordinate descent stops when no coefficient moves this far
-_VR_MAX_SWEEPS = 10000
 
 _EM_STREAM = 101  # rng_for sub-stream tag of the jittered EM starts
 
@@ -309,27 +308,39 @@ def fit_lm_em(sample: Sample, k: int, config: ModelConfig, starts: int = 10,
 # VR: box-constrained least squares
 # ---------------------------------------------------------------------------
 
-def _box_qp(gram: np.ndarray, b: np.ndarray, theta: np.ndarray, lo: float, hi: float,
-            tol: float) -> tuple[np.ndarray, int, bool]:
-    """Minimize theta' gram theta - 2 b' theta over [lo, hi]^k, starting from
-    theta and updating it in place; returns (theta, sweeps, converged)."""
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, _VR_MAX_SWEEPS + 1):
-        delta = 0.0
-        for j in range(theta.size):
-            gjj = gram[j, j]
-            if gjj <= 0.0:
-                new = 0.0  # basis column vanishes on the data; coefficient is free
-            else:
-                resid_j = b[j] - (gram[j] @ theta - gjj * theta[j])
-                new = min(max(resid_j / gjj, lo), hi)
-            delta = max(delta, abs(new - theta[j]))
-            theta[j] = new
-        if delta < tol:
-            converged = True
-            break
-    return theta, sweeps, converged
+def _box_lsq(gram: np.ndarray, b: np.ndarray, theta: np.ndarray, lo: float, hi: float) -> int:
+    """Minimize theta' gram theta - 2 b' theta over [lo, hi]^k from the feasible
+    theta, updating it in place; returns the number of active-set changes.
+
+    Lawson & Hanson's primal active set (1974, ch. 23) with both bounds: theta
+    steps toward the free coordinates' normal-equation solution (minimum-norm,
+    by np.linalg.lstsq, where their block is singular), holding each one that
+    meets a bound.  There the held coordinate whose gradient points furthest
+    into the box, by over 1e-12 max(|gram|, |b|, 1), is freed; when none does,
+    theta is the KKT optimum.  As in NNLS, a freed coordinate sent straight back
+    out (its multiplier was rounding) stays held until theta moves: finite.
+    """
+    held = (theta <= lo) | (theta >= hi)
+    stuck = np.zeros_like(held)  # held again at once since theta last moved
+    for changes in itertools.count():
+        free = np.flatnonzero(~held)
+        want = np.linalg.lstsq(gram[np.ix_(free, free)],
+                               b[free] - gram[free][:, held] @ theta[held], rcond=None)[0]
+        bound = np.clip(want, lo, hi)
+        out = np.flatnonzero(bound != want)
+        if out.size:  # step to the first bound met on the way to want
+            reach = (bound[out] - theta[free[out]]) / (want[out] - theta[free[out]])
+            step, met = max(reach.min(), 0.0), out[reach == reach.min()]
+            theta[free] += step * (want - theta[free])
+            stuck &= step == 0.0
+            theta[free[met]], held[free[met]], stuck[free[met]] = bound[met], True, step == 0.0
+        else:
+            stuck &= np.array_equal(theta[free], want)
+            theta[free] = want
+            into = np.where(held & ~stuck, (gram @ theta - b) * (2 * (theta >= hi) - 1), -np.inf)
+            if into.max() <= 1e-12 * max(np.abs(gram).max(), np.abs(b).max(), 1.0):
+                return changes
+            held[np.argmax(into)] = False
 
 
 @functools.lru_cache(maxsize=64)
@@ -345,17 +356,17 @@ def _vr_blocks(ks: tuple[int, ...], top: int) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _vr_optima(gram: np.ndarray, b: np.ndarray, ks: tuple[int, ...], lo: float, hi: float
-               ) -> tuple[np.ndarray, list[int], list[bool]]:
+               ) -> tuple[np.ndarray, list[int]]:
     """Minimize theta' gram theta - 2 b' theta over [lo, hi]^k on each leading
-    block gram[:k, :k], k in ks (increasing); returns (coeffs, sweeps, converged)
-    with row i of coeffs the optimum for ks[i], padded with zeros.
+    block gram[:k, :k], k in ks (increasing); returns (coeffs, active-set
+    changes) with row i of coeffs the optimum for ks[i], padded with zeros.
 
     Every block's normal equations are solved in one batch, each padded to full
-    size with the identity.  A solution inside [lo, hi] is the exact optimum
-    (0 sweeps), and when every block's is, that is the answer; the zero
-    padding always lies in the box, since VR needs lo <= 0 <= hi.  Otherwise a
-    bound binds or the block is singular, and _box_qp runs from the previous
-    block's optimum padded with a zero, to tolerance VR_TOL.
+    size with the identity: _box_lsq's first step, with no bound held.  A
+    solution inside [lo, hi] is the exact optimum, and when every block's is,
+    that is the answer; the zero padding always lies in the box, since VR needs
+    lo <= 0 <= hi.  Otherwise a bound binds or the block is singular, and
+    _box_lsq runs from the previous block's optimum padded with a zero.
     """
     top = gram.shape[0]
     inside, block_mask, eye = _vr_blocks(ks, top)
@@ -366,18 +377,17 @@ def _vr_optima(gram: np.ndarray, b: np.ndarray, ks: tuple[int, ...], lo: float, 
     except np.linalg.LinAlgError:  # one singular block fails the batch
         coeffs = np.full(inside.shape, np.nan)
     solved = ((lo <= coeffs) & (coeffs <= hi)).all(axis=1)
-    sweeps = [0] * len(ks)
-    converged = [True] * len(ks)
+    changes = [0] * len(ks)
     if solved.all():
-        return coeffs, sweeps, converged
+        return coeffs, changes
     theta = np.zeros(top)
     for i, k in enumerate(ks):
         if solved[i]:
             theta[:k] = coeffs[i, :k]
             continue
-        _, sweeps[i], converged[i] = _box_qp(gram[:k, :k], b[:k], theta[:k], lo, hi, VR_TOL)
+        changes[i] = _box_lsq(gram[:k, :k], b[:k], theta[:k], lo, hi)
         coeffs[i] = theta  # still zero past k
-    return coeffs, sweeps, converged
+    return coeffs, changes
 
 
 def _vr_fits(sample: Sample, config: ModelConfig, ks: tuple[int, ...]) -> list[FitResult]:
@@ -388,20 +398,19 @@ def _vr_fits(sample: Sample, config: ModelConfig, ks: tuple[int, ...]) -> list[F
     if sample.family is not Family.VR:
         raise UsageError(f"a VR fit needs a VR sample, got {sample.family.value}")
     basis = np.ascontiguousarray(sample.vr_basis(ks[-1]))
-    coeffs, sweeps, converged = _vr_optima(basis.T @ basis, basis.T @ sample.y, ks,
-                                           config.m_lo, config.m_hi)
+    coeffs, changes = _vr_optima(basis.T @ basis, basis.T @ sample.y, ks,
+                                 config.m_lo, config.m_hi)
     logliks = regression_log_densities(sample.y, coeffs @ basis.T,
                                        config.sigma).sum(axis=1).tolist()
-    return [FitResult(ThetaVR(row[:k]), ll, s, c, 1)
-            for k, row, ll, s, c in zip(ks, coeffs.tolist(), logliks, sweeps, converged)]
+    return [FitResult(ThetaVR(row[:k]), ll, c, True, 1)
+            for k, row, ll, c in zip(ks, coeffs.tolist(), logliks, changes)]
 
 
 def fit_vr(sample: Sample, k: int, config: ModelConfig) -> FitResult:
     """Global optimum of the convex box-constrained quadratic."""
     if config.family is not Family.VR:
         raise UsageError("fit_vr needs a VR config")
-    if k < 1:
-        raise UsageError("K must be >= 1")
+    check_k(config, k)
     return _vr_fits(sample, config, (k,))[0]
 
 
@@ -441,8 +450,7 @@ def fit_k(sample: Sample, k: int, config: ModelConfig,
 
 def profile(sample: Sample, config: ModelConfig, k_top: int) -> ProfileCurve:
     """Fit K = 1..k_top with warm starts; enforce monotone loglik via embedding."""
-    if k_top < 1:
-        raise UsageError("k_top must be >= 1")
+    check_k(config, k_top)
     ks = tuple(range(1, k_top + 1))
     entries: list[FitResult] = []
     if config.family is Family.VR:

@@ -44,7 +44,7 @@ from .guillotine import Leaf, Node, Split
 
 LOG_2PI = math.log(2.0 * math.pi)
 _SEED_MASK = (1 << 64) - 1
-K_HARD_CAP = 64  # mixture sizes past this are a usage error, not a model
+K_HARD_CAP = 64  # LM and VR orders past this are a usage error, not a model
 
 __all__ = [
     "Family", "ModelConfig", "ThetaLM", "ThetaVR", "ThetaAC", "Theta", "Sample",
@@ -296,12 +296,12 @@ def theta_dim(family: Family, k: int) -> int:
 
 def check_k(config: ModelConfig, k: int) -> None:
     """Fail unless K >= 1 and the K-th class is one the package handles: AC
-    trees of at most 2**ac_depth_max leaves, LM mixtures of at most K_HARD_CAP."""
+    trees of at most 2**ac_depth_max leaves, LM and VR of at most K_HARD_CAP terms."""
     if k < 1:
-        raise UsageError("K must be >= 1")
+        raise UsageError(f"K must be >= 1, got {k}")
     if config.family is Family.AC and k > 2 ** config.ac_depth_max:
         raise UsageError(f"K={k} exceeds 2**ac_depth_max = {2 ** config.ac_depth_max}")
-    if config.family is Family.LM and k > K_HARD_CAP:
+    if config.family is not Family.AC and k > K_HARD_CAP:
         raise UsageError(f"K={k} exceeds the hard cap {K_HARD_CAP}")
 
 

@@ -131,7 +131,7 @@ def test_k_below_one_exits_2_and_writes_nothing(argv, spec_file, tmp_path, capsy
     assert main([argv[0], "--spec", spec_file, *argv[1:], *extra]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: orderest {argv[0]} needs K >= 1, got {argv[2]}")
+    assert captured.err == f"error: orderest {argv[0]} (k_max = 3): K must be >= 1, got {argv[2]}\n"
     assert not (tmp_path / "fit.csv").exists() and not (tmp_path / "out").exists()
 
 
@@ -216,8 +216,8 @@ def test_ac_k_beyond_depth_cap_fails_before_the_campaign(flags, tmp_path, capsys
     path.write_text(AC_SPEC.format(out=tmp_path / "out"))
     assert main(["campaign", "--spec", str(path), *flags]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: mode=") and "ac_depth_max = 1" in err
-    assert "warning" not in err
+    mode, k_max = ("entropy_table", 3) if flags else ("consistency", 2)
+    assert err == f"error: mode={mode} (k_max = {k_max}): K=3 exceeds 2**ac_depth_max = 2\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -259,8 +259,7 @@ def test_each_command_checks_its_own_ac_reach(argv, k, tmp_path, capsys):
         "mode = consistency", "mode = entropy_table"))
     assert main([argv[0], "--spec", str(path), *argv[1:]]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: orderest {argv[0]} fits K up to {k} (k_max = 2), ")
-    assert "ac_depth_max = 1 has at most 2 leaves" in err
+    assert err == f"error: orderest {argv[0]} (k_max = 2): K={k} exceeds 2**ac_depth_max = 2\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -296,12 +295,12 @@ output_dir = {out}
 """
 
 
-@pytest.mark.parametrize("argv, what", [
-    (["campaign", "--k-max", "64"], "mode=consistency"),
-    (["order", "--k-max", "64", "--sample", "missing.csv"], "mode=consistency"),
-    (["fit", "--k-top", "65", "--sample", "missing.csv"], "orderest fit"),
+@pytest.mark.parametrize("argv, what, k_max", [
+    (["campaign", "--k-max", "64"], "mode=consistency", 64),
+    (["order", "--k-max", "64", "--sample", "missing.csv"], "mode=consistency", 64),
+    (["fit", "--k-top", "65", "--sample", "missing.csv"], "orderest fit", 2),
 ], ids=["campaign", "order", "fit-k-top"])
-def test_lm_k_beyond_hard_cap_fails_before_any_fit(argv, what, tmp_path, capsys):
+def test_lm_k_beyond_hard_cap_fails_before_any_fit(argv, what, k_max, tmp_path, capsys):
     # K = 65 is past models.K_HARD_CAP: exit 2 at once, before the schedule
     # warning, before the sample is read (missing.csv does not exist) and
     # before any output is written
@@ -311,7 +310,18 @@ def test_lm_k_beyond_hard_cap_fails_before_any_fit(argv, what, tmp_path, capsys)
     assert main([argv[0], "--spec", str(path), *argv[1:]]) == 2
     assert time.perf_counter() - start < 2.0
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {what} fits K up to 65 (")
-    assert err.rstrip().endswith("but an LM mixture has at most the hard cap 64 components")
-    assert "warning" not in err and "missing.csv" not in err
+    assert err == f"error: {what} (k_max = {k_max}): K=65 exceeds the hard cap 64\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--k", "100000"], ["--k-top", "65"]], ids=["k", "k-top"])
+def test_vr_k_beyond_hard_cap_fails_before_any_fit(argv, spec_file, tmp_path, capsys):
+    # a VR fit past models.K_HARD_CAP exits 2 before the sample is read
+    # (missing.csv does not exist); --k 100000 once built a 100000-column
+    # basis and its 80 GB Gram matrix
+    out = tmp_path / "fit.csv"
+    assert main(["fit", "--spec", spec_file, "--sample", "missing.csv", *argv,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: orderest fit (k_max = 3): K={argv[1]} exceeds the hard cap 64\n"
+    assert not out.exists() and not (tmp_path / "out").exists()

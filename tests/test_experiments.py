@@ -9,7 +9,8 @@ from orderest import (
     parse_spec, run,
 )
 from orderest.deviations import ESTIMATORS
-from orderest.experiments import MODES, git_blob_sha1, invariant_suite
+from orderest import entropy
+from orderest.experiments import MODES, entropy_table, git_blob_sha1, invariant_suite
 
 SPEC_TEXT = """
 [model]
@@ -181,10 +182,17 @@ class TestParseSpec:
         lm = dict(config=ModelConfig(Family.LM, sigma=1.0),
                   theta_star=ThetaLM((0.5, 0.5), (-1.0, 1.0)), mode=mode)
         spec_for(tmp_path, k_max=k_max - 1, **lm)
-        with pytest.raises(UsageError, match=re.escape(
-                f"mode={mode} fits K up to 65 (k_max = {k_max}), but an LM mixture "
-                "has at most the hard cap 64 components")):
+        with pytest.raises(UsageError, match="^" + re.escape(
+                f"mode={mode} (k_max = {k_max}): K=65 exceeds the hard cap 64") + "$"):
             spec_for(tmp_path, k_max=k_max, **lm)
+
+    @pytest.mark.parametrize("mode, k_max", [("consistency", 64), ("entropy_table", 65)])
+    def test_vr_k_beyond_hard_cap_rejected(self, tmp_path, mode, k_max):
+        # so is a VR expansion: a spec past the cap once fitted a basis of that width
+        spec_for(tmp_path, k_max=k_max - 1, mode=mode)
+        with pytest.raises(UsageError, match="^" + re.escape(
+                f"mode={mode} (k_max = {k_max}): K=65 exceeds the hard cap 64") + "$"):
+            spec_for(tmp_path, k_max=k_max, mode=mode)
 
     @pytest.mark.parametrize("mode, k_max", [("consistency", 2), ("under_exponent", 2),
                                              ("over_rate", 2), ("entropy_table", 3)])
@@ -194,9 +202,8 @@ class TestParseSpec:
         ac = dict(config=ModelConfig(Family.AC, sigma=1.0, ac_depth_max=1),
                   theta_star=ThetaAC(Split(1, 0.5, Leaf(0.0), Leaf(1.0))), mode=mode)
         spec_for(tmp_path, k_max=k_max - 1, **ac)
-        with pytest.raises(UsageError, match=re.escape(
-                f"mode={mode} fits K up to 3 (k_max = {k_max}), but a tree of "
-                "ac_depth_max = 1 has at most 2 leaves")):
+        with pytest.raises(UsageError, match="^" + re.escape(
+                f"mode={mode} (k_max = {k_max}): K=3 exceeds 2**ac_depth_max = 2") + "$"):
             spec_for(tmp_path, k_max=k_max, **ac)
 
     @pytest.mark.parametrize("family, theta, key", [
@@ -234,6 +241,26 @@ class TestRun:
         assert any("0.125" in ln for ln in k1)
         k2 = [ln for ln in lines if ln.startswith("2,")]
         assert all(",0," in ln for ln in k2)
+
+    @pytest.mark.parametrize("config, target, projections", [
+        (ModelConfig(Family.VR, sigma=1.0), ThetaVR((1.0, 0.5, 0.25)), 1),
+        (ModelConfig(Family.AC, sigma=1.0, ac_depth_max=2),
+         ThetaAC(Split(1, 0.5, Split(2, 0.5, Leaf(0.0), Leaf(0.5)), Leaf(1.0))), 1),
+        (ModelConfig(Family.LM, sigma=1.0), ThetaLM((0.5, 0.5), (-1.0, 1.0)), 2),
+    ], ids=["VR", "AC", "LM"])
+    def test_entropy_table_projects_once_where_directions_coincide(
+            self, config, target, projections, tmp_path, monkeypatch):
+        # for the regression families stein_bound equals project_entropy (the
+        # L2 identity), so one projection serves both rows; LM projects twice
+        calls = []
+        project = entropy._project
+        monkeypatch.setattr(entropy, "_project",
+                            lambda *a, **kw: calls.append(1) or project(*a, **kw))
+        table = entropy_table(spec_for(tmp_path, config=config, theta_star=target), 3)
+        rows = [line.split(",") for line in table.splitlines()[1:]]
+        assert len(calls) == projections and len(rows) == 6
+        if projections == 1:
+            assert [r[2:] for r in rows[0::2]] == [r[2:] for r in rows[1::2]]
 
     def test_reruns_byte_identical(self, tmp_path):
         spec = spec_for(tmp_path, mode="consistency", trials=5, n_grid=(120,),

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 from scipy.special import logsumexp
 
 from orderest import (
@@ -15,7 +16,7 @@ from orderest import (
 from orderest import fitting, models
 from orderest.entropy import EntropyValue
 from orderest.experiments import ExperimentSpec, entropy_table
-from orderest.fitting import EM_MAX_ITER, EM_TOL, _box_qp, _lm_start_list
+from orderest.fitting import EM_MAX_ITER, EM_TOL, _box_lsq, _lm_start_list
 from orderest.models import (
     derive_seed, logsumexp_rows, mixture_log_components, rng_for, vr_basis_matrix,
 )
@@ -399,7 +400,28 @@ class TestFitVr:
                 assert grad[j] >= -1e-6
 
 
-def _vr_optima_loop(gram, b, ks, lo, hi, tol):
+def _bvls(basis, y, lo, hi):
+    """The box-constrained least-squares coefficients by scipy's BVLS (Stark &
+    Parker 1995), which works on the basis itself, not on its Gram matrix;
+    clipped, as BVLS can leave a coefficient an ulp outside its bound."""
+    fit = lsq_linear(basis, y, bounds=(lo, hi), method="bvls", tol=1e-15, max_iter=10000)
+    return np.clip(fit.x, lo, hi)
+
+
+def _assert_kkt(gram, b, coeffs, lo, hi):
+    """KKT certificate of coeffs as the minimum of c' gram c - 2 b' c over
+    [lo, hi]^k: the gradient gram c - b vanishes on free coordinates and points
+    out of the box on coordinates at a bound, within 1e-9 ||gram|| (1 + |c|)."""
+    c = np.asarray(coeffs, dtype=float)
+    grad = gram @ c - b
+    tol = 1e-9 * np.linalg.norm(gram, 2) * (1.0 + np.abs(c).max())
+    free = (lo < c) & (c < hi)
+    assert (np.abs(grad[free]) <= tol).all(), ("free", grad[free], tol)
+    assert (grad[c <= lo] >= -tol).all(), ("at lo", grad[c <= lo], tol)
+    assert (grad[c >= hi] <= tol).all(), ("at hi", grad[c >= hi], tol)
+
+
+def _vr_optima_loop(gram, b, ks, lo, hi):
     """_vr_optima without its set-up cache and fast return: every block
     through the per-K loop."""
     ks = np.asarray(ks)
@@ -412,16 +434,15 @@ def _vr_optima_loop(gram, b, ks, lo, hi, tol):
     except np.linalg.LinAlgError:
         coeffs = np.full(inside.shape, np.nan)
     solved = (((lo <= coeffs) & (coeffs <= hi)) | ~inside).all(axis=1)
-    sweeps = [0] * len(ks)
-    converged = [True] * len(ks)
+    changes = [0] * len(ks)
     theta = np.zeros(top)
     for i, k in enumerate(ks):
         if solved[i]:
             theta[:k] = coeffs[i, :k]
             continue
-        _, sweeps[i], converged[i] = _box_qp(gram[:k, :k], b[:k], theta[:k], lo, hi, tol)
+        changes[i] = _box_lsq(gram[:k, :k], b[:k], theta[:k], lo, hi)
         coeffs[i] = theta
-    return coeffs, sweeps, converged
+    return coeffs, changes
 
 
 class TestVrOptima:
@@ -439,15 +460,43 @@ class TestVrOptima:
         if case == "singular":  # a basis column that vanishes on the data
             gram[2, :] = gram[:, 2] = 0.0
             b[2] = 0.0
-        box_qp_calls = []
-        monkeypatch.setattr(fitting, "_box_qp",
-                            lambda *a: box_qp_calls.append(1) or _box_qp(*a))
+        box_lsq_calls = []
+        monkeypatch.setattr(fitting, "_box_lsq",
+                            lambda *a: box_lsq_calls.append(1) or _box_lsq(*a))
         for ks in ((1, 2, 3, 4, 5), (3,), (5,), (2, 4)):
             got = fitting._vr_optima(gram, b, ks, lo, hi)
-            want = _vr_optima_loop(gram, b, ks, lo, hi, 1e-10)
-            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], (case, ks)
+            want = _vr_optima_loop(gram, b, ks, lo, hi)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1], (case, ks)
+            for k, row in zip(ks, got[0]):
+                _assert_kkt(gram[:k, :k], b[:k], row[:k], lo, hi)
         # only the inside case takes the fast return everywhere
-        assert (len(box_qp_calls) == 0) == (case == "inside")
+        assert (len(box_lsq_calls) == 0) == (case == "inside")
+
+    @pytest.mark.parametrize("k", [10, 19, 20, 25, 40])
+    def test_ill_conditioned_fits_are_exact(self, k):
+        # 20 points with K near or past n: the Gram matrix is ill-conditioned or
+        # singular and a bound binds, so every K >= 19 takes the active-set path
+        s = simulate(VR, ThetaVR((1.0, 0.5)), 20, seed=5)
+        fit = fit_vr(s, k, VR)
+        basis = vr_basis_matrix(s.x, k)
+        coeffs = np.asarray(fit.theta.coeffs)
+        assert fit.converged
+        _assert_kkt(basis.T @ basis, basis.T @ s.y, coeffs, VR.m_lo, VR.m_hi)
+        sse, oracle = (float(((s.y - basis @ c) ** 2).sum())
+                       for c in (coeffs, _bvls(basis, s.y, VR.m_lo, VR.m_hi)))
+        assert sse == pytest.approx(oracle, rel=0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [65, 10 ** 6])
+    def test_k_beyond_hard_cap_fails_before_the_basis(self, k, monkeypatch):
+        sample = simulate(VR, ThetaVR((1.0, 0.5)), 20, seed=5)
+
+        def no_basis(self, width):
+            raise AssertionError(f"a basis of {width} columns was built")
+
+        monkeypatch.setattr(Sample, "vr_basis", no_basis)
+        for call in (fit_vr, fit_k, lambda s, k, c: profile(s, c, k)):
+            with pytest.raises(UsageError, match=f"K={k} exceeds the hard cap 64"):
+                call(sample, k, VR)
 
     def test_block_setup_is_kept_and_read_only(self):
         first = fitting._vr_blocks((1, 2, 3), 3)
@@ -959,7 +1008,7 @@ class TestSharedDp:
         spec = ExperimentSpec(config, target, "bic D=dim", mode="entropy_table", k_max=6)
         del dp_builds[:]
         entropy_table(spec, 6)
-        assert len(dp_builds) == 2
+        assert len(dp_builds) == 1  # both directions of an AC table are one projection
 
     def test_projection_any_k_order_equals_fresh_dp(self, dp_builds):
         """Below K* each answer is a fresh single-K population DP's fit; from
@@ -1019,16 +1068,13 @@ class TestSharedDp:
             gc.collect()
             assert refs, name
             assert [r() for r in refs] == [None] * len(refs), name
-def _coordinate_descent_logliks(sample, config, k_top):
-    """The VR profile log-likelihoods by warm-started coordinate descent on each
-    leading block of the Gram matrix, to tolerance 1e-12, dips repaired."""
+def _bvls_logliks(sample, config, k_top):
+    """The VR profile log-likelihoods from scipy's BVLS on each leading block of
+    the basis, dips repaired."""
     basis = vr_basis_matrix(sample.x, k_top)
-    gram, b = basis.T @ basis, basis.T @ sample.y
-    theta = np.zeros(k_top)
-    lls = []
-    for k in range(1, k_top + 1):
-        head, _, _ = _box_qp(gram[:k, :k], b[:k], theta[:k], config.m_lo, config.m_hi, 1e-12)
-        lls.append(log_likelihood(config, ThetaVR(tuple(head)), sample))
+    lls = [log_likelihood(config, ThetaVR(tuple(_bvls(basis[:, :k], sample.y, config.m_lo,
+                                                      config.m_hi))), sample)
+           for k in range(1, k_top + 1)]
     return list(np.maximum.accumulate(lls))
 
 
@@ -1092,7 +1138,7 @@ class TestProfile:
         # designs: every third in a tight box, every fourth on a 0.1 lattice
         # (duplicate rows), every fifth with n < k_top (singular Gram)
         rng = rng_for(61, int(10 * sigma))
-        tight_sweeps = 0
+        tight_changes = 0
         for d in range(30):
             tight = d % 3 == 0
             config = ModelConfig(Family.VR, sigma=sigma, m_lo=-0.25 if tight else -2.0,
@@ -1106,11 +1152,15 @@ class TestProfile:
             s = Sample(Family.VR, np.column_stack([x, y]), seed=0)
             prof = profile(s, config, k_top)
             lls = [prof.loglik(k) for k in range(1, k_top + 1)]
-            assert lls == pytest.approx(_coordinate_descent_logliks(s, config, k_top),
-                                        rel=0.0, abs=1e-9)
+            assert lls == pytest.approx(_bvls_logliks(s, config, k_top), rel=0.0, abs=1e-9)
+            basis = vr_basis_matrix(x, k_top)
+            for k, entry in enumerate(prof.entries, start=1):
+                assert entry.converged
+                _assert_kkt(basis[:, :k].T @ basis[:, :k], basis[:, :k].T @ y,
+                            entry.theta.coeffs, config.m_lo, config.m_hi)
             if tight:
-                tight_sweeps += sum(e.iterations for e in prof.entries)
-        assert tight_sweeps > 0  # a binding bound must reach the coordinate descent
+                tight_changes += sum(e.iterations for e in prof.entries)
+        assert tight_changes > 0  # a binding bound must reach the active-set solver
 
     @pytest.mark.parametrize("case", ["n=1", "n=2", "duplicates", "x=0.5", "K>n", "constant y",
                                       "y=+1e6", "y=-1e6"])
@@ -1146,9 +1196,11 @@ class TestProfile:
             assert ((box[0] <= coeffs) & (coeffs <= box[1])).all(), (case, k, coeffs)
             assert entry.loglik == pytest.approx(
                 log_likelihood(config, entry.theta, sample), rel=1e-9, abs=1e-9), (case, k)
-            head, _, _ = _box_qp(gram[:k, :k], b[:k], np.zeros(k), box[0], box[1], 1e-12)
+            head = _bvls(basis[:, :k], y, box[0], box[1])
             oracle = log_likelihood(config, ThetaVR(tuple(head)), sample)
             assert entry.loglik == pytest.approx(oracle, rel=1e-9, abs=1e-9), (case, k)
+            assert entry.converged, (case, k)
+            _assert_kkt(gram[:k, :k], b[:k], coeffs, box[0], box[1])
             lls.append(entry.loglik)
         assert all(b >= a for a, b in zip(lls, lls[1:])), (case, lls)
 

@@ -81,16 +81,16 @@ def test_regression_simulate_pinned():
 
 
 def test_vr_fits_with_binding_bounds_pinned():
-    # the box [-0.25, 0.25] binds at every K, so coordinate descent finishes
-    # each fit; the K are asked in three orders, so the sample's basis grows
-    # at different steps
+    # the box [-0.25, 0.25] binds at every K, so the active-set solver
+    # finishes each fit (iterations counts its active-set changes); the K are
+    # asked in three orders, so the sample's basis grows at different steps
     tight = ModelConfig(Family.VR, sigma=0.5, m_lo=-0.25, m_hi=0.25)
     want = {
-        1: ("-152.60914494664371", ["0.25"], 2),
+        1: ("-152.60914494664371", ["0.25"], 1),
         2: ("-140.12022548208841", ["0.25", "0.25"], 2),
         3: ("-139.74133161812381", ["0.25", "0.25", "0.064946485912358978"], 2),
-        4: ("-137.22211534099932",
-            ["0.25", "0.25", "0.11240061176423619", "0.20389833597845361"], 10),
+        4: ("-137.22211534099935",
+            ["0.25", "0.25", "0.11240061176752165", "0.20389833597950288"], 2),
     }
     for order in ((1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3)):
         sample = simulate(VR, ThetaVR((1.0, 0.5)), 40, seed=16)

@@ -89,18 +89,24 @@ def test_import_loads_no_scipy(module):
 
 
 def test_vr_commands_load_no_scipy(tmp_path):
+    # the last fit, K = 25 on 20 points, is singular and bound-binding: it
+    # runs the active-set solver
     spec = tmp_path / "vr.spec"
     spec.write_text(VR_SPEC.format(out=tmp_path / "out"))
-    sample = tmp_path / "sample.csv"
+    sample, small, fit = (str(tmp_path / name) for name in ("sample.csv", "small.csv", "fit.csv"))
     code = f"""
 from orderest.cli import main
-spec, sample = {str(spec)!r}, {str(sample)!r}
+spec, sample, small, fit = {str(spec)!r}, {sample!r}, {small!r}, {fit!r}
 rcs = [main(["simulate", "--spec", spec, "--out", sample]),
        main(["fit", "--spec", spec, "--sample", sample]),
-       main(["order", "--spec", spec, "--sample", sample])]
+       main(["order", "--spec", spec, "--sample", sample]),
+       main(["simulate", "--spec", spec, "--n", "20", "--out", small]),
+       main(["fit", "--spec", spec, "--sample", small, "--k", "25", "--out", fit])]
 print(json.dumps({{"rcs": rcs, "scipy": {SCIPY_LOADED}}}))
 """
-    assert _fresh(code) == {"rcs": [0, 0, 0], "scipy": []}
+    assert _fresh(code) == {"rcs": [0, 0, 0, 0, 0], "scipy": []}
+    k, _, converged, changes = Path(fit).read_text().splitlines()[1].split(",")
+    assert (k, converged) == ("25", "1") and int(changes) > 0
 
 
 @pytest.mark.parametrize("text, k_max", [(AC_SPEC, 4), (VR_SPEC, 3)], ids=["AC", "VR"])
