@@ -13,11 +13,12 @@ found once per call, and for AC one population DP answers every K.
 Location mixtures have no closed form; their divergences are computed by
 composite Gauss-Legendre quadrature and their projections by multi-start
 local search over the class (reported as method="optimized", with no claim
-of global optimality).  Every quadrature uses one 8-point Gauss-Legendre
-rule.  A projection minimizes the divergence discretized on one panel grid
-whose panels are sigma/8 wide, on which the target's log-density is
-evaluated once, and L-BFGS-B gets the exact gradient of that discretized
-objective.
+of global optimality).  Every LM divergence is one 8-point Gauss-Legendre
+rule on one kind of grid (_lm_grid): panels sigma/8 wide, reaching 13 sigmas
+past the means in play, and at most 2^16 of them.  A projection minimizes
+the divergence discretized on the grid of the box and the target's means,
+on which the target's log-density is evaluated once, and L-BFGS-B gets the
+exact gradient of that discretized objective.
 
 That L-BFGS-B search is the package's only use of scipy, so _project_lm
 imports scipy.optimize itself: importing orderest, and every run that projects
@@ -42,13 +43,12 @@ from .models import (
 _PROJECTION_STREAM = 301
 _PROJECTION_STARTS = 8  # L-BFGS starts of an LM projection
 _PROJECTION_SEED = 7  # seed of their jitter
-_QUAD_HALF_WIDTH = 12.0  # quadrature reaches this many sigmas past the outermost means
-# The projection grid reaches this many sigmas past the box and the target's
-# means, so it covers every candidate's mass; its panels are this many sigmas
-# wide, and a grid of more panels than the cap is refused.
-_PROJECTION_HALF_WIDTH = 13.0
-_PROJECTION_PANEL_SIGMAS = 0.125
-_PROJECTION_MAX_PANELS = 2 ** 16
+# The grid of every LM divergence (_lm_grid) reaches this many sigmas past the
+# means in play, so it covers their mass, in panels this many sigmas wide; a
+# grid of more panels than the cap is refused.
+_LM_HALF_WIDTH = 13.0
+_LM_PANEL_SIGMAS = 0.125
+_LM_MAX_PANELS = 2 ** 16
 # The Gauss-Legendre rule of every panel, on [-1, 1].
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -106,38 +106,36 @@ def _mixture_kl_panels(theta_a: ThetaLM, theta_b: ThetaLM, config: ModelConfig,
     return float(np.sum(w * np.exp(la) * (la - lb)))
 
 
-def kl_mixture_quadrature(theta_a: ThetaLM, theta_b: ThetaLM, config: ModelConfig,
-                          panels: int = 400, target_tol: float = 1e-8,
-                          max_panels: int = 25600) -> EntropyValue:
-    """H(P_a | P_b) for location mixtures by composite Gauss-Legendre panels.
+def _lm_grid(config: ModelConfig, m_min: float, m_max: float) -> tuple[float, float, int]:
+    """(lo, hi, panels) of an LM divergence's grid: [m_min, m_max] widened by
+    _LM_HALF_WIDTH sigmas, in panels at most _LM_PANEL_SIGMAS sigmas wide.  A
+    grid past _LM_MAX_PANELS panels raises UsageError."""
+    sigma = config.sigma
+    lo = m_min - _LM_HALF_WIDTH * sigma
+    hi = m_max + _LM_HALF_WIDTH * sigma
+    panels = math.ceil((hi - lo) / (_LM_PANEL_SIGMAS * sigma))
+    if panels > _LM_MAX_PANELS:
+        raise UsageError(
+            f"LM divergence at sigma={sigma!r} over [{m_min!r}, {m_max!r}] needs "
+            f"{panels} panels of sigma/8, more than {_LM_MAX_PANELS}; raise sigma "
+            f"or narrow the range")
+    return lo, hi, panels
 
-    Panels double, the last step capped at max_panels, until two successive
-    estimates differ by less than target_tol; at max_panels the finest value
-    is returned with the achieved difference as its (large) tol.
-    """
+
+def kl_mixture_quadrature(theta_a: ThetaLM, theta_b: ThetaLM,
+                          config: ModelConfig) -> EntropyValue:
+    """H(P_a | P_b) for location mixtures on the _lm_grid of both parameters'
+    means.  Its tol is the difference from the same range in half as many
+    panels, rounded up."""
     if config.family is not Family.LM:
         raise UsageError("kl_mixture_quadrature is for the LM family")
-    if panels < 1:
-        raise UsageError(f"panels must be >= 1, got {panels!r}")
-    if max_panels < panels:
-        raise UsageError(f"max_panels must be >= panels ({panels}), got {max_panels!r}")
-    if not (math.isfinite(target_tol) and target_tol > 0.0):
-        raise UsageError(f"target_tol must be finite and > 0, got {target_tol!r}")
     validate_theta(config, theta_a)
     validate_theta(config, theta_b)
     means = theta_a.means + theta_b.means
-    lo = min(means) - _QUAD_HALF_WIDTH * config.sigma
-    hi = max(means) + _QUAD_HALF_WIDTH * config.sigma
+    lo, hi, panels = _lm_grid(config, min(means), max(means))
     value = _mixture_kl_panels(theta_a, theta_b, config, lo, hi, panels)
-    achieved = math.inf
-    while panels < max_panels:
-        panels = min(2 * panels, max_panels)
-        refined = _mixture_kl_panels(theta_a, theta_b, config, lo, hi, panels)
-        achieved = abs(refined - value)
-        value = refined
-        if achieved < target_tol:
-            break
-    return EntropyValue(max(value, 0.0), "quadrature", achieved)
+    coarse = _mixture_kl_panels(theta_a, theta_b, config, lo, hi, -(-panels // 2))
+    return EntropyValue(value, "quadrature", abs(value - coarse))
 
 
 def kl_divergence(theta_a: Theta, theta_b: Theta, config: ModelConfig) -> EntropyValue:
@@ -201,28 +199,18 @@ def _projection_objective(config: ModelConfig, target: ThetaLM, k: int, reverse:
 
 
 def _projection_grid(config: ModelConfig, target: ThetaLM) -> tuple[float, float, int]:
-    """(lo, hi, panels) of a projection's grid: the box and the target's means
-    widened by _PROJECTION_HALF_WIDTH sigmas, in panels at most
-    _PROJECTION_PANEL_SIGMAS sigmas wide.  A grid past _PROJECTION_MAX_PANELS
-    panels raises UsageError."""
-    sigma = config.sigma
-    lo = min(min(target.means), config.m_lo) - _PROJECTION_HALF_WIDTH * sigma
-    hi = max(max(target.means), config.m_hi) + _PROJECTION_HALF_WIDTH * sigma
-    panels = math.ceil((hi - lo) / (_PROJECTION_PANEL_SIGMAS * sigma))
-    if panels > _PROJECTION_MAX_PANELS:
-        raise UsageError(
-            f"LM projection at sigma={sigma!r} over the box [{config.m_lo!r}, "
-            f"{config.m_hi!r}] needs {panels} panels of sigma/8, more than "
-            f"{_PROJECTION_MAX_PANELS}; raise sigma or narrow the box")
-    return lo, hi, panels
+    """The _lm_grid of a projection: over the box and the target's means, so
+    it covers every candidate's mass."""
+    return _lm_grid(config, min(min(target.means), config.m_lo),
+                    max(max(target.means), config.m_hi))
 
 
 def _project_lm(config: ModelConfig, target: ThetaLM, k: int,
                 reverse: bool) -> tuple[EntropyValue, ThetaLM]:
     """Multi-start L-BFGS-B for inf over Theta_K of H(target | theta), or of
     H(theta | target) with reverse, on the grid of _projection_grid.  The grid
-    only steers the search: the value at the optimum is re-evaluated by the
-    adaptive quadrature."""
+    only steers the search: the value at the optimum is re-evaluated by
+    kl_mixture_quadrature, on the grid of its own two parameters' means."""
     from scipy.optimize import minimize  # only here: see the module docstring
 
     objective = _projection_objective(config, target, k, reverse,

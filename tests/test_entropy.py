@@ -159,6 +159,15 @@ class TestMixtureQuadrature:
         out = kl_mixture_quadrature(ThetaLM((1.0,), (0.0,)), ThetaLM((1.0,), (m,)), LM)
         assert out.value == pytest.approx(m * m / 2.0, abs=1e-8)
         assert out.method == "quadrature" and out.tol < 1e-8
+        # tol bounds the error at every sigma, up to rounding, for means m
+        # apart anywhere on [-2, 2]
+        for sigma in (0.001, 0.01, 0.1, 1.0, 10.0):
+            config = ModelConfig(Family.LM, sigma=sigma)
+            for lo in (-2.0, -m / 2.0, 2.0 - m):
+                out = kl_mixture_quadrature(ThetaLM((1.0,), (lo,)),
+                                            ThetaLM((1.0,), (lo + m,)), config)
+                want = m * m / (2.0 * sigma ** 2)
+                assert abs(out.value - want) <= out.tol + 1e-12 * max(out.value, 1.0)
 
     def test_mixture_vs_monte_carlo_oracle(self):
         a = ThetaLM((0.5, 0.5), (-1.0, 1.0))
@@ -175,55 +184,34 @@ class TestMixtureQuadrature:
         se = float(ratios.std(ddof=1)) / math.sqrt(n)
         assert abs(quad - mc) < 3 * se
 
-    def test_panel_cap_flag(self):
-        a = ThetaLM((0.5, 0.5), (-2.0, 2.0))
-        b = ThetaLM((1.0,), (0.0,))
-        out = kl_mixture_quadrature(a, b, LM, panels=2, target_tol=1e-30, max_panels=4)
-        assert out.tol > 1e-30  # cap hit, achieved tolerance reported honestly
-
-    @pytest.mark.parametrize("panels, max_panels, expected", [
-        (400, 799, [400, 799]),
-        (3, 10, [3, 6, 10]),
-        (5, 5, [5]),
-        (2, 16, [2, 4, 8, 16]),
-    ])
-    def test_panels_never_exceed_max_panels(self, monkeypatch, panels, max_panels, expected):
-        seen = []
-        real = entropy._mixture_kl_panels
-
-        def counting(theta_a, theta_b, config, lo, hi, panels):
-            seen.append(panels)
-            return real(theta_a, theta_b, config, lo, hi, panels)
-
-        monkeypatch.setattr(entropy, "_mixture_kl_panels", counting)
-        a = ThetaLM((0.5, 0.5), (-2.0, 2.0))
-        b = ThetaLM((1.0,), (0.0,))
-        kl_mixture_quadrature(a, b, LM, panels=panels, target_tol=1e-300,
-                              max_panels=max_panels)
-        assert seen == expected
-
-    @pytest.mark.parametrize("kwargs", [
-        {"panels": 0}, {"panels": -3}, {"panels": 800, "max_panels": 400},
-        {"target_tol": math.nan}, {"target_tol": math.inf}, {"target_tol": 0.0},
-        {"target_tol": -1e-8},
-    ])
-    def test_bad_quadrature_input_rejected(self, kwargs):
-        a = ThetaLM((0.5, 0.5), (-1.0, 1.0))
-        b = ThetaLM((1.0,), (0.0,))
-        with pytest.raises(UsageError):
-            kl_mixture_quadrature(a, b, LM, **kwargs)
-
     def test_equals_per_call_leggauss_formula(self):
+        """The sum on sigma/8 panels reaching 13 sigmas past both parameters'
+        means, with tol its difference from the sum on half as many panels."""
         rng = rng_for(4242)
         for _ in range(6):
             a = random_theta(LM, int(rng.integers(1, 4)), rng)
             b = random_theta(LM, int(rng.integers(1, 4)), rng)
-            assert kl_mixture_quadrature(a, b, LM) == per_call_leggauss_quadrature(a, b, LM)
-        a = ThetaLM((0.5, 0.5), (-2.0, 2.0))
-        b = ThetaLM((1.0,), (0.0,))
-        assert (kl_mixture_quadrature(a, b, LM, panels=2, target_tol=1e-30, max_panels=4)
-                == per_call_leggauss_quadrature(a, b, LM, panels=2, target_tol=1e-30,
-                                                max_panels=4))
+            lo, hi = min(a.means + b.means) - 13.0, max(a.means + b.means) + 13.0
+            panels = math.ceil(8.0 * (hi - lo))
+            value = per_call_leggauss_kl(a, b, LM, lo, hi, panels)
+            coarse = per_call_leggauss_kl(a, b, LM, lo, hi, math.ceil(panels / 2))
+            assert (kl_mixture_quadrature(a, b, LM)
+                    == EntropyValue(value, "quadrature", abs(value - coarse)))
+
+    def test_unresolvable_divergence_rejected(self):
+        """Past 2**16 panels of sigma/8 every LM divergence is refused, as a
+        projection's search grid is."""
+        a, b = ThetaLM((1.0,), (-2.0,)), ThetaLM((1.0,), (2.0,))
+        tiny = ModelConfig(Family.LM, sigma=1e-4)
+        divergences = (lambda: kl_mixture_quadrature(a, b, tiny),
+                       lambda: kl_divergence(b, a, tiny),
+                       lambda: pythagorean_residual(a, b, b, tiny))
+        for divergence in divergences:
+            start = time.perf_counter()
+            with pytest.raises(UsageError, match=r"sigma=0\.0001 .*\[-2\.0, 2\.0\]"
+                                                 r".* 320208 panels"):
+                divergence()
+            assert time.perf_counter() - start < 1.0
 
 
 class TestProjections:
