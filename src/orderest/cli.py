@@ -38,7 +38,7 @@ def _load_spec(args) -> ExperimentSpec:
 
 
 def _load_sample(args, spec: ExperimentSpec) -> Sample:
-    sample = sample_from_csv(Path(args.sample).read_text(), seed=spec.seed)
+    sample = sample_from_csv(Path(args.sample).read_text())
     if sample.family is not spec.config.family:
         raise UsageError(f"sample family {sample.family.value} does not match spec")
     return sample

@@ -11,9 +11,9 @@ stein_bound take one target and a sequence of K: the target's true order is
 found once per call, and for AC one population DP answers every K.
 
 Location mixtures have no closed form; their divergences are computed by
-composite Gauss-Legendre quadrature and their projections by multi-start
-local search over the class (reported as method="optimized", with no claim
-of global optimality).  Every LM divergence is one 8-point Gauss-Legendre
+composite Gauss-Legendre quadrature and their projections by local search over
+the class from the starts of models.lm_start_means, as LM's EM fits are
+(reported as method="optimized", with no claim of global optimality).  Every LM divergence is one 8-point Gauss-Legendre
 rule on one kind of grid (_lm_grid): panels sigma/8 wide, reaching 13 sigmas
 past the means in play, and at most 2^16 of them.  A projection minimizes
 the divergence discretized on the grid of the box and the target's means,
@@ -37,12 +37,10 @@ import numpy as np
 from . import guillotine
 from .models import (
     Family, ModelConfig, Theta, ThetaAC, ThetaLM, ThetaVR, UsageError, check_k, embed,
-    logsumexp_rows, mixture_log_components, rng_for, true_order, validate_theta,
+    lm_start_means, logsumexp_rows, mixture_log_components, true_order, validate_theta,
 )
 
-_PROJECTION_STREAM = 301
-_PROJECTION_STARTS = 8  # L-BFGS starts of an LM projection
-_PROJECTION_SEED = 7  # seed of their jitter
+_PROJECTION_STARTS = 8  # L-BFGS starts of an LM projection (models.lm_start_means)
 # The grid of every LM divergence (_lm_grid) reaches this many sigmas past the
 # means in play, so it covers their mass, in panels this many sigmas wide; a
 # grid of more panels than the cap is refused.
@@ -218,14 +216,10 @@ def _project_lm(config: ModelConfig, target: ThetaLM, k: int,
 
     spread = np.quantile(np.asarray(target.means), (np.arange(k) + 0.5) / k) if k > 1 \
         else np.asarray([float(np.dot(target.weights, target.means))])
-    spread = np.clip(spread, config.m_lo, config.m_hi)
-    rng = rng_for(_PROJECTION_SEED, _PROJECTION_STREAM, k)
     scale = max(config.sigma, (max(target.means) - min(target.means)) / max(k, 1))
     bounds = ([(-30.0, 30.0)] * (k - 1)) + [(config.m_lo, config.m_hi)] * k
     best_val, best_x = math.inf, None
-    for s in range(_PROJECTION_STARTS):
-        means0 = spread if s == 0 else np.clip(
-            spread + 0.5 * scale * rng.standard_normal(k), config.m_lo, config.m_hi)
+    for means0 in lm_start_means(config, spread, scale, _PROJECTION_STARTS):
         x0 = np.concatenate([np.zeros(k - 1), means0])
         res = minimize(objective, x0, method="L-BFGS-B", jac=True, bounds=bounds)
         if res.fun < best_val:
@@ -248,7 +242,7 @@ def _project(config: ModelConfig, target: Theta, ks: Iterable[int], reverse: boo
     if isinstance(target, ThetaAC):
         fits = guillotine.fit_tree_population(target.tree, range(1, target.k + 1),
                                               config.ac_depth_max, config.m_lo, config.m_hi)
-        k_star = guillotine.exact_leaf_count(fits)
+        k_star = guillotine.exact_leaf_count(lambda k: fits[k - 1], target.k)
         reduced = ThetaAC(fits[k_star - 1][0])
     else:
         k_star = true_order(config, target)

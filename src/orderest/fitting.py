@@ -15,7 +15,9 @@
   EM_MAX_ITER E-passes; FitResult.iterations counts E-passes.  _em_run runs
   all starts of one fit as one (S, n, K) batch and freezes each start where
   it stops, so every start follows the path it would follow alone; the best
-  start wins, ties within 1e-12 going to the earliest.
+  start wins, ties within 1e-12 going to the earliest.  The 9 starts are z's
+  quantile means and 4 mirrored pairs of fixed jitters (models.lm_start_means),
+  all with uniform weights: a fit reads the data alone.
 - VR: maximizing the likelihood is a box-constrained least-squares problem,
   solved in one place, _vr_fits: one contiguous basis B at the largest K
   asked (read from the sample, Sample.vr_basis), the statistics G = B'B and
@@ -53,14 +55,12 @@ import numpy as np
 from . import guillotine
 from .models import (
     Family, ModelConfig, ParameterError, Sample, Theta, ThetaAC, ThetaLM, ThetaVR,
-    UsageError, check_k, csv_text, embed, log_likelihood, logsumexp_rows,
-    mixture_log_components, regression_log_densities, rng_for,
+    UsageError, check_k, csv_text, embed, lm_start_means, log_likelihood, logsumexp_rows,
+    mixture_log_components, regression_log_densities,
 )
 
 EM_TOL = 1e-8  # stop EM once an EM step gains less log-likelihood than this
 EM_MAX_ITER = 500  # E-passes (log-likelihood evaluations) per EM start
-
-_EM_STREAM = 101  # rng_for sub-stream tag of the jittered EM starts
 
 
 @dataclass(frozen=True)
@@ -259,23 +259,17 @@ def _em_run(z: np.ndarray, config: ModelConfig, w0: np.ndarray, m0: np.ndarray
     return theta[:, :k], theta[:, k:], [path[-1] for path in paths], passes, converged, paths
 
 
-def _lm_start_list(z: np.ndarray, k: int, config: ModelConfig, starts: int,
-                   seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Quantile-spread means (first start exact, the rest jittered), uniform weights."""
+def _lm_start_list(z: np.ndarray, k: int, config: ModelConfig,
+                   starts: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Uniform weights and the lm_start_means of z's quantiles at (i + 1/2)/K,
+    jittered at the scale of z's spread: a function of the data alone."""
     qs = np.quantile(z, (np.arange(k) + 0.5) / k) if z.size else np.zeros(k)
-    qs = np.clip(qs, config.m_lo, config.m_hi)
-    uniform = np.full(k, 1.0 / k)
-    out = [(uniform.copy(), qs.copy())]
-    rng = rng_for(seed, _EM_STREAM, k)
     with np.errstate(over="ignore"):  # inf past a spread of ~1e154: starts at the box ends
         scale = max(float(np.std(z)) if z.size else 0.0, 1e-3)
-    for _ in range(starts - 1):
-        jitter = 0.5 * scale * rng.standard_normal(k)
-        out.append((uniform.copy(), np.clip(qs + jitter, config.m_lo, config.m_hi)))
-    return out
+    return [(np.full(k, 1.0 / k), m) for m in lm_start_means(config, qs, scale, starts)]
 
 
-def fit_lm_em(sample: Sample, k: int, config: ModelConfig, starts: int = 10,
+def fit_lm_em(sample: Sample, k: int, config: ModelConfig, starts: int = 9,
               warm: Theta | None = None, track_paths: bool = False) -> FitResult:
     """Best of `starts` EM runs, plus one from warm (a parameter of a class
     <= K, embedded into the K-th) run first when given; ties within 1e-12 go
@@ -285,12 +279,11 @@ def fit_lm_em(sample: Sample, k: int, config: ModelConfig, starts: int = 10,
     if k < 1 or starts < 1:
         raise UsageError("need K >= 1 and starts >= 1")
     check_k(config, k)
-    z = sample.z
-    inits = _lm_start_list(z, k, config, starts, sample.seed)
+    inits = _lm_start_list(sample.z, k, config, starts)
     if warm is not None:
         emb = embed(config, warm, k)
         inits.insert(0, (np.asarray(emb.weights), np.asarray(emb.means)))
-    w, m, lls, iters, conv, paths = _em_run(z, config, [w for w, _ in inits],
+    w, m, lls, iters, conv, paths = _em_run(sample.z, config, [w for w, _ in inits],
                                             [m for _, m in inits])
     best = 0
     for i in range(1, len(inits)):

@@ -32,7 +32,7 @@ memo, plus the pair pass's temporaries, which _PAIR_BLOCK bounds.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Union
 
@@ -427,12 +427,13 @@ def _target_grid(target: Node):
 
 
 def minimal_leaf_count(target: Node, depth_cap: int, m_lo: float, m_hi: float) -> int:
-    """Smallest leaf budget whose population fit reproduces the target."""
-    return exact_leaf_count(fit_tree_population(target, range(1, leaf_count(target) + 1),
-                                                depth_cap, m_lo, m_hi))
+    """Smallest leaf budget whose population fit reproduces the target, from
+    fit_tree_population's DP asked for K = 1, 2, ... up to the first exact fit."""
+    dp = _grid_dp(*_target_grid(target), depth_cap, m_lo, m_hi, tol=1e-15)
+    return exact_leaf_count(dp, leaf_count(target))
 
 
-def exact_leaf_count(fits: list[tuple[Node, float]]) -> int:
-    """The first k whose fit, of fits at k = 1, 2, ..., has an SSE of at most
-    1e-12 (exact but for rounding); the last k when none has."""
-    return next((k for k, (_, sse) in enumerate(fits, 1) if sse <= 1e-12), len(fits))
+def exact_leaf_count(fit: Callable[[int], tuple[Node, float]], k_top: int) -> int:
+    """The first k whose fit(k) = (tree, SSE), asked for k = 1, 2, ..., has an
+    SSE of at most 1e-12 (exact but for rounding); k_top when none below has."""
+    return next((k for k in range(1, k_top) if fit(k)[1] <= 1e-12), k_top)

@@ -23,7 +23,8 @@ from ModelConfig.  The families are nested: a K-parameter model embeds in the
 
 Randomness is derived from numpy SeedSequence keyed on (seed, path) so that
 any consumer drawing "trial t of experiment seed s" gets a stream that
-depends only on (s, t), never on execution order.
+depends only on (s, t), never on execution order.  A Sample keeps no seed, and
+a fit draws nothing: every LM search starts from lm_start_means' fixed offsets.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ __all__ = [
     "regression_log_densities",
     "log_likelihood", "eval_regression_fn",
     "vr_basis_matrix", "validate_theta", "theta_dim", "check_k", "true_order", "embed",
-    "random_theta", "Leaf", "Split",
+    "random_theta", "lm_start_means", "Leaf", "Split",
     "CONFIG_KEYS", "config_to_kv", "config_from_kv", "theta_to_kv", "theta_from_kv",
     "csv_text", "sample_to_csv", "sample_from_csv", "fmt",
 ]
@@ -184,7 +185,7 @@ Theta = Union[ThetaLM, ThetaVR, ThetaAC]
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """Observations from one family.
+    """Observations from one family, and no seed: fits read the points alone.
 
     points has shape (n,) for LM (the z values), (n, 2) for VR (columns x, y)
     and (n, 3) for AC (columns x1, x2, y); n is read from the points.  A VR
@@ -194,7 +195,6 @@ class Sample:
 
     family: Family
     points: np.ndarray
-    seed: int
     n: int = field(init=False)
 
     def __post_init__(self):
@@ -240,7 +240,7 @@ class Sample:
         """The first n observations, sharing storage (for growing-path traces)."""
         if not 0 <= n <= self.n:
             raise UsageError(f"cannot take the first {n} of {self.n} observations")
-        return Sample(self.family, self.points[:n], self.seed)
+        return Sample(self.family, self.points[:n])
 
     def vr_basis(self, k: int) -> np.ndarray:
         """The first k columns of vr_basis_matrix(self.x, ...), shape (n, k),
@@ -362,6 +362,21 @@ def random_theta(config: ModelConfig, k: int, rng: np.random.Generator) -> Theta
         return ThetaVR(tuple(rng.uniform(lo, hi, k)))
     leaves = int(rng.integers(1, min(k, 2 ** config.ac_depth_max) + 1))
     return ThetaAC(guillotine.random_tree(rng, leaves, config.ac_depth_max, lo, hi))
+
+
+def lm_start_means(config: ModelConfig, centers: np.ndarray, scale: float,
+                   count: int) -> list[np.ndarray]:
+    """The first `count` start means of an LM search (EM or projection): c,
+    the centers clipped into the box, then c + d and c - d[::-1], clipped, for
+    each of the fixed offsets d = 0.5 scale N(0, I_K) from rng_for(7, 301, K).
+
+    So the starts move with the centers and the box under a shift, and with an
+    odd count the set is closed under reflection through the box's midpoint,
+    which maps c to its reversed reflection and swaps each pair."""
+    c = np.clip(centers, config.m_lo, config.m_hi)
+    d = 0.5 * scale * rng_for(7, 301, c.size).standard_normal((count // 2, c.size))
+    pairs = np.stack([c + d, c - d[:, ::-1]], axis=1).reshape(-1, c.size)
+    return [c, *np.clip(pairs, config.m_lo, config.m_hi)][:count]
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +501,10 @@ def simulate(config: ModelConfig, theta_star: Theta, n: int, seed: int) -> Sampl
         validate_theta(config, theta_star)
         labels = rng.choice(theta_star.k, size=n, p=np.asarray(theta_star.weights))
         z = np.asarray(theta_star.means)[labels] + config.sigma * rng.standard_normal(n)
-        return Sample(Family.LM, z, int(seed))
+        return Sample(Family.LM, z)
     x = rng.uniform(0.0, 1.0, n if config.family is Family.VR else (n, 2))
     y = eval_regression_fn(config, theta_star, x) + config.sigma * rng.standard_normal(n)
-    return Sample(config.family, np.column_stack([x, y]), int(seed))
+    return Sample(config.family, np.column_stack([x, y]))
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +673,9 @@ def sample_to_csv(sample: Sample) -> str:
     return csv_text(header, ((i, *p) for i, p in enumerate(pts.tolist())))
 
 
-def sample_from_csv(text: str, seed: int = -1) -> Sample:
-    """Rebuild a Sample from its CSV form.
-
-    The CSV carries data only; the family comes from the header and the seed
-    is not stored (defaults to -1, "unknown").  A data row must have as many
-    fields as the header.
-    """
+def sample_from_csv(text: str) -> Sample:
+    """Rebuild a Sample from its CSV form: the family from the header, the
+    points from the rows, each with as many fields as the header."""
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty sample CSV")
@@ -682,4 +693,4 @@ def sample_from_csv(text: str, seed: int = -1) -> Sample:
                              f"the header {header!r} has {width}")
         rows.append([float(v) for v in fields[1:]])
     pts = np.asarray(rows, dtype=float).reshape(len(rows), width - 1)
-    return Sample(family, pts.ravel() if family is Family.LM else pts, seed)
+    return Sample(family, pts.ravel() if family is Family.LM else pts)

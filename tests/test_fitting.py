@@ -112,7 +112,7 @@ def _squarem_one_start(z, config, w0, m0):
 def _fit_lm_em_one_start_at_a_time(sample, k, config, starts, extra_inits):
     """fit_lm_em with every start run alone by _squarem_one_start; also
     returns each start's E-pass count."""
-    inits = _lm_start_list(sample.z, k, config, starts, sample.seed)
+    inits = _lm_start_list(sample.z, k, config, starts)
     if extra_inits:
         inits = [(np.asarray(w, dtype=float), np.asarray(m, dtype=float))
                  for w, m in extra_inits] + inits
@@ -194,7 +194,8 @@ class TestEmLm:
             z = rng.choice([-1.5, 0.0, 1.5], n) + sigma * rng.standard_normal(n)
             if i % 4 == 1:
                 z = np.round(z, 1)
-            s = Sample(Family.LM, z, seed=int(rng.integers(1000)))
+            rng.integers(1000)  # keeps the draws of the frozen samples that follow
+            s = Sample(Family.LM, z)
             coarse = extra = None
             if i % 2 and k > 1:
                 w = rng.dirichlet(np.ones(k - 1))
@@ -231,7 +232,7 @@ class TestEmLm:
         else:
             z = rng.choice([-1e6, 1e6], 30) + rng.standard_normal(30)
         config = ModelConfig(Family.LM, sigma=1.0, m_lo=box[0], m_hi=box[1])
-        s = Sample(Family.LM, z, seed=3)
+        s = Sample(Family.LM, z)
         for k in range(1, 5):
             res = fit_lm_em(s, k, config, track_paths=True)
             w, m = np.array(res.theta.weights), np.array(res.theta.means)
@@ -251,7 +252,7 @@ class TestEmLm:
 
     def test_degenerate_identical_points(self):
         z0 = 0.37
-        s = Sample(Family.LM, np.full(25, z0), seed=0)
+        s = Sample(Family.LM, np.full(25, z0))
         res = fit_lm_em(s, 2, LM)
         assert all(m == pytest.approx(z0, abs=1e-9) for m in res.theta.means)
         expected = 25 * (-0.5 * math.log(2 * math.pi))
@@ -313,7 +314,7 @@ class TestEmLm:
     def test_extreme_data_fails_in_em(self, z, k):
         # finite data whose log-likelihood overflows: EM reports it, not ThetaLM,
         # and without numpy overflow warnings on the way
-        s = Sample(Family.LM, np.asarray(z), seed=0)
+        s = Sample(Family.LM, np.asarray(z))
         with pytest.raises(ParameterError, match=f"^EM at K={k}: log-likelihood is -inf"):
             fit_lm_em(s, k, LM)
 
@@ -348,7 +349,7 @@ class TestSquaremAgainstPlainEm:
 class TestFitVr:
     def test_zero_response_gives_zero_coeffs(self):
         x = np.linspace(0.01, 0.99, 40)
-        s = Sample(Family.VR, np.column_stack([x, np.zeros(40)]), seed=0)
+        s = Sample(Family.VR, np.column_stack([x, np.zeros(40)]))
         res = fit_vr(s, 3, VR)
         assert np.allclose(res.theta.coeffs, 0.0, atol=1e-12)
 
@@ -356,7 +357,7 @@ class TestFitVr:
         theta = ThetaVR((0.8, -0.3, 0.1))
         x = np.linspace(0.0, 1.0, 50)
         y = vr_basis_matrix(x, 3) @ np.asarray(theta.coeffs)
-        s = Sample(Family.VR, np.column_stack([x, y]), seed=0)
+        s = Sample(Family.VR, np.column_stack([x, y]))
         res = fit_vr(s, 3, VR)
         assert np.allclose(res.theta.coeffs, theta.coeffs, atol=1e-8)
 
@@ -364,7 +365,7 @@ class TestFitVr:
         rng = rng_for(31)
         x = rng.uniform(0, 1, 200)
         y = rng.normal(0.0, 1.0, 200) + 0.7 * math.sqrt(2) * np.cos(math.pi * x)
-        s = Sample(Family.VR, np.column_stack([x, y]), seed=0)
+        s = Sample(Family.VR, np.column_stack([x, y]))
         res = fit_vr(s, 4, VR)
 
         basis = vr_basis_matrix(x, 4)
@@ -520,7 +521,7 @@ class TestVrBasisBuilds:
     def test_fit_vr_builds_once(self, builds):
         rng = rng_for(74)
         x = rng.uniform(0.0, 1.0, 80)
-        s = Sample(Family.VR, np.column_stack([x, rng.standard_normal(80)]), seed=0)
+        s = Sample(Family.VR, np.column_stack([x, rng.standard_normal(80)]))
         fit_vr(s, 3, VR)
         assert builds == [3]
         fit_vr(s, 2, VR)
@@ -537,7 +538,7 @@ class TestVrBasisBuilds:
         x = rng.uniform(0.0, 1.0, 400)
         y = vr_basis_matrix(x, 2) @ np.array([1.0, 0.5]) + rng.standard_normal(400)
         builds.clear()
-        s = Sample(Family.VR, np.column_stack([x, y]), seed=0)
+        s = Sample(Family.VR, np.column_stack([x, y]))
         rep = peeling_assert(s, VR, 2, 3, ThetaVR((1.0, 0.5)), n_probes=200)
         assert rep.probes_used + rep.probes_skipped == 202
         assert len(builds) <= 3
@@ -583,7 +584,7 @@ class TestFitAc:
         assert res.loglik == pytest.approx(best, abs=1e-9)
 
     def test_single_point(self):
-        s = Sample(Family.AC, np.array([[0.3, 0.6, 0.8]]), seed=0)
+        s = Sample(Family.AC, np.array([[0.3, 0.6, 0.8]]))
         [res] = fit_ac(s, AC, (2,))
         assert res.loglik == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
@@ -859,7 +860,7 @@ class TestTreeDpOracle:
             x, y = np.concatenate([x[:6], x[:6]]), np.concatenate([y[:6], y[:6] + 1.0])
         else:
             y = np.full(12, 0.7)
-        sample = Sample(Family.AC, np.column_stack([x, y]), seed=0)
+        sample = Sample(Family.AC, np.column_stack([x, y]))
         for cap in (1, 2, 3):
             config = ModelConfig(Family.AC, sigma=1.0, ac_depth_max=cap)
             oracle = _grid_dp_per_cut_recursion(*guillotine._data_grid(x, y), cap,
@@ -950,7 +951,7 @@ class TestSharedDp:
         rng = rng_for(87)
         for i, x, y, cap, m_lo, m_hi, sigma in _shared_dp_datasets():
             config = ModelConfig(Family.AC, sigma=sigma, m_lo=m_lo, m_hi=m_hi, ac_depth_max=cap)
-            sample = Sample(Family.AC, np.column_stack([x, y]), seed=0)
+            sample = Sample(Family.AC, np.column_stack([x, y]))
             tol = 1e-12 * 2.0 * sigma ** 2
             ks = range(1, min(5, 2 ** cap) + 1)
             fresh = {k: ThetaAC(_FRESH_DP(*guillotine._data_grid(x, y), cap, m_lo, m_hi,
@@ -988,7 +989,7 @@ class TestSharedDp:
     def test_profile_equals_fit_ac_per_k(self, dp_builds):
         for i, x, y, cap, m_lo, m_hi, sigma in _shared_dp_datasets():
             config = ModelConfig(Family.AC, sigma=sigma, m_lo=m_lo, m_hi=m_hi, ac_depth_max=cap)
-            sample = Sample(Family.AC, np.column_stack([x, y]), seed=0)
+            sample = Sample(Family.AC, np.column_stack([x, y]))
             k_top = min(5, 2 ** cap)
             del dp_builds[:]
             prof = profile(sample, config, k_top)
@@ -1092,7 +1093,7 @@ class TestFitKWarm:
         s = simulate(LM, theta, 90, seed=seed)
         fit = fitting.fit_k(s, k, LM, warm=warm)
         assert fit == fit_lm_em(s, k, LM, warm=warm)
-        assert fit.starts_used == 11
+        assert fit.starts_used == 10
         first = fit_lm_em(s, k, LM, warm=warm, track_paths=True).loglik_paths[0][0]
         assert first == pytest.approx(log_likelihood(LM, embed(LM, warm, k), s), rel=1e-12)
         assert fitting.fit_k(s, k, LM) == fit_lm_em(s, k, LM)
@@ -1149,7 +1150,7 @@ class TestProfile:
             if d % 4 == 1:
                 x = np.round(x, 1)
             y = vr_basis_matrix(x, 2) @ np.array([1.0, 0.5]) + sigma * rng.standard_normal(n)
-            s = Sample(Family.VR, np.column_stack([x, y]), seed=0)
+            s = Sample(Family.VR, np.column_stack([x, y]))
             prof = profile(s, config, k_top)
             lls = [prof.loglik(k) for k in range(1, k_top + 1)]
             assert lls == pytest.approx(_bvls_logliks(s, config, k_top), rel=0.0, abs=1e-9)
@@ -1184,7 +1185,7 @@ class TestProfile:
         else:
             y = np.full(12, float(case[2:])) + rng.standard_normal(12)
         config = ModelConfig(Family.VR, sigma=1.0, m_lo=box[0], m_hi=box[1])
-        sample = Sample(Family.VR, np.column_stack([x, y]), seed=0)
+        sample = Sample(Family.VR, np.column_stack([x, y]))
         prof = profile(sample, config, 5)
         basis = vr_basis_matrix(x, 5)
         gram, b = basis.T @ basis, basis.T @ y

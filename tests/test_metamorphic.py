@@ -1,15 +1,25 @@
-"""Metamorphic relations of the exact VR and AC fits and of AC projections.
+"""Metamorphic relations of the fits and of AC projections.
 
 The data are i.i.d., so the sup log-likelihood of a class depends on the data
-alone, not on the order of their rows.  Each regression family also has
-exact symmetries that map its classes onto themselves: y -> -y when the mark
-box is symmetric, and for AC reflecting x1 through 1/2 and swapping the axes
-(a guillotine tree maps to one of the same depth).  Testing a fitter against
-such relations needs no oracle for the sup (metamorphic testing, Chen et al.
-2018, ACM Computing Surveys 51(1)).  On frozen seeds every relation holds to
-rounding: log-likelihoods within 1e-12 relative, identical orders, and AC
-projection tables within 1e-12.
+alone: not on the order of their rows, nor on how the sample was stored.  Each
+family also has exact symmetries that map its classes onto themselves: for LM
+shifting z together with the mean box, and reflecting z through the box's
+midpoint; y -> -y when the mark box is symmetric; and for AC reflecting x1
+through 1/2 and swapping the axes (a guillotine tree maps to one of the same
+depth).  Testing a fitter against such relations needs no oracle for the sup
+(metamorphic testing, Chen et al. 2018, ACM Computing Surveys 51(1)).
+
+On frozen seeds the exact VR and AC fits hold every relation to rounding:
+log-likelihoods within 1e-12 relative, identical orders, and AC projection
+tables within 1e-12.  LM's multi-start EM reads nothing but the data, so a
+sample written to CSV and read back refits bit for bit.  Its start set moves
+with a shift and is closed under the reflection, to 1e-12.  EM still stops
+wherever its rule stops it, so under the relations the LM orders are identical
+and the log-likelihoods agree within 0.05 nat, not to rounding.
 """
+
+import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +29,28 @@ from orderest import (
     parse_schedule, profile, project_entropy, random_theta, simulate, stein_bound,
 )
 from orderest.criterion import scan_top
-from orderest.models import derive_seed, rng_for
+from orderest.deviations import _TRIAL_STREAM
+from orderest.fitting import _lm_start_list
+from orderest.models import derive_seed, rng_for, sample_from_csv, sample_to_csv
 
+LM = ModelConfig(Family.LM, sigma=1.0)  # the mean box [-2, 2] is symmetric about 0
 VR = ModelConfig(Family.VR, sigma=1.0)  # the mark box [-2, 2] is symmetric
-K_MAX = {Family.VR: 5, Family.AC: 3}
+K_MAX = {Family.LM: 3, Family.VR: 5, Family.AC: 3}
+LM_SHIFT = 0.75
+# how far a moved sample's log-likelihood may lie from the original's: the
+# exact fits agree to rounding, EM's stopping rule leaves LM short of that
+LOGLIK_TOL = {"LM": {"abs": 0.05}, "VR": {"rel": 1e-12, "abs": 0.0},
+              "AC": {"rel": 1e-12, "abs": 0.0}}
+
+
+def _lm_samples():
+    """K* 1-3 at n 50-200."""
+    rng = rng_for(1307)
+    out = []
+    for i in range(60):
+        theta = random_theta(LM, int(rng.integers(1, 4)), rng)
+        out.append((LM, simulate(LM, theta, int(rng.integers(50, 201)), derive_seed(1308, i))))
+    return out
 
 
 def _vr_samples():
@@ -47,21 +75,35 @@ def _ac_samples():
     return out
 
 
+def _on_points(transform):
+    """The relation that moves the points and keeps the config."""
+    return lambda config, points: (config, transform(points))
+
+
+@_on_points
 def _permuted(points):
     return points[rng_for(1305, points.shape[0]).permutation(points.shape[0])]
 
 
+@_on_points
 def _y_negated(points):
     return np.column_stack([points[:, :-1], -points[:, -1]])
 
 
+def _shifted(config, z):
+    """z and the mean box shifted together."""
+    return replace(config, m_lo=config.m_lo + LM_SHIFT, m_hi=config.m_hi + LM_SHIFT), z + LM_SHIFT
+
+
 RELATIONS = {
+    "LM": {"rows permuted": _permuted, "z negated": _on_points(np.negative),
+           "shifted with the box": _shifted},
     "VR": {"rows permuted": _permuted, "y negated": _y_negated},
     "AC": {"rows permuted": _permuted, "y negated": _y_negated,
-           "x1 reflected": lambda p: np.column_stack([1.0 - p[:, 0], p[:, 1:]]),
-           "axes swapped": lambda p: p[:, [1, 0, 2]]},
+           "x1 reflected": _on_points(lambda p: np.column_stack([1.0 - p[:, 0], p[:, 1:]])),
+           "axes swapped": _on_points(lambda p: p[:, [1, 0, 2]])},
 }
-SAMPLES = {"VR": _vr_samples, "AC": _ac_samples}
+SAMPLES = {"LM": _lm_samples, "VR": _vr_samples, "AC": _ac_samples}
 
 
 def _fit(config, sample):
@@ -72,18 +114,61 @@ def _fit(config, sample):
     return curve.logliks(), (orders.k_local, orders.k_global)
 
 
+@functools.lru_cache(maxsize=None)
+def _fitted(family):
+    """The frozen samples of a family with their fits, shared by its relations."""
+    return [(config, sample, *_fit(config, sample)) for config, sample in SAMPLES[family]()]
+
+
 @pytest.mark.parametrize("family, relation",
                          [(f, r) for f in RELATIONS for r in RELATIONS[f]])
 def test_fit_is_invariant(family, relation):
-    """The sup log-likelihood at every K, and both orders, are unchanged."""
-    transform = RELATIONS[family][relation]
-    for i, (config, sample) in enumerate(SAMPLES[family]()):
-        logliks, orders = _fit(config, sample)
-        moved = Sample(config.family, transform(sample.points), seed=sample.seed)
-        got, got_orders = _fit(config, moved)
+    """The sup log-likelihood at every K moves by at most LOGLIK_TOL, and
+    both orders are unchanged."""
+    for i, (config, sample, logliks, orders) in enumerate(_fitted(family)):
+        moved_config, points = RELATIONS[family][relation](config, sample.points)
+        got, got_orders = _fit(moved_config, Sample(config.family, points))
         for k, ll in logliks.items():
-            assert got[k] == pytest.approx(ll, rel=1e-12, abs=0.0), (i, k)
+            assert got[k] == pytest.approx(ll, **LOGLIK_TOL[family]), (i, k)
         assert got_orders == orders, i
+
+
+def test_lm_refit_from_csv_is_identical():
+    """A campaign trial's LM sample, written to CSV and read back, refits to
+    the same profile bit for bit: the fit reads no label of the sample."""
+    rng = rng_for(1309)
+    for t in range(30):
+        theta = random_theta(LM, int(rng.integers(1, 4)), rng)
+        sample = simulate(LM, theta, int(rng.integers(50, 201)),
+                          derive_seed(1310, _TRIAL_STREAM, t))
+        back = sample_from_csv(sample_to_csv(sample))
+        assert profile(back, LM, scan_top(3)) == profile(sample, LM, scan_top(3)), t
+
+
+@pytest.mark.parametrize("box", [(-2.0, 2.0), (-0.5, 1.5)])
+def test_lm_start_set_moves_with_the_data(box):
+    """At K = 1..4, the 9 EM starts of the reflected data 2c - z (c the box's
+    midpoint) are those of z reflected, each start's components reversed and
+    each mirrored pair swapped; those of z + a in the box shifted by a are
+    those of z shifted.  Both within 1e-12."""
+    config = ModelConfig(Family.LM, m_lo=box[0], m_hi=box[1])
+    shifted = replace(config, m_lo=box[0] + LM_SHIFT, m_hi=box[1] + LM_SHIFT)
+    mid = 0.5 * (box[0] + box[1])
+    mirror = [0] + [j + 1 if j % 2 else j - 1 for j in range(1, 9)]
+    rng = rng_for(1311)
+    for i in range(20):
+        n = int(rng.integers(1, 80))
+        z = rng.choice([-1.5, 0.0, 1.5], n) + rng.standard_normal(n)
+        for k in range(1, 5):
+            starts = _lm_start_list(z, k, config, 9)
+            for j, (w, m) in zip(mirror, _lm_start_list(2.0 * mid - z, k, config, 9)):
+                assert np.array_equal(w, starts[j][0])
+                np.testing.assert_allclose(m, 2.0 * mid - starts[j][1][::-1], rtol=0, atol=1e-12,
+                                           err_msg=f"{i} K={k} start {j}")
+            for j, (w, m) in enumerate(_lm_start_list(z + LM_SHIFT, k, shifted, 9)):
+                assert np.array_equal(w, starts[j][0])
+                np.testing.assert_allclose(m, starts[j][1] + LM_SHIFT, rtol=0, atol=1e-12,
+                                           err_msg=f"{i} K={k} start {j}")
 
 
 def _reflected(node, axis):

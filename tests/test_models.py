@@ -76,7 +76,7 @@ class TestValidation:
     ])
     def test_sample_rejects_non_finite(self, family, points, bad):
         with pytest.raises(ParameterError, match=f"point {bad} is not finite"):
-            Sample(family, points, 0)
+            Sample(family, points)
 
     def test_sample_csv_rejects_non_finite(self):
         with pytest.raises(ParameterError, match="point 1 is not finite"):
@@ -191,9 +191,9 @@ class TestLogDensity:
 
     def test_log_likelihood_conventions(self):
         theta = ThetaVR((0.3,))
-        empty = Sample(Family.VR, np.zeros((0, 2)), seed=0)
+        empty = Sample(Family.VR, np.zeros((0, 2)))
         assert log_likelihood(VR, theta, empty) == 0.0
-        one = Sample(Family.VR, np.array([[0.2, 0.4]]), seed=0)
+        one = Sample(Family.VR, np.array([[0.2, 0.4]]))
         assert log_likelihood(VR, theta, one) == pytest.approx(
             log_density(VR, theta, (0.2, 0.4)), abs=1e-15)
         with pytest.raises(UsageError):
@@ -235,7 +235,7 @@ class TestVrBasis:
         thetas = {k: ThetaVR(tuple(rng.uniform(-2.0, 2.0, k))) for k in range(1, 6)}
         pts = np.column_stack([rng.uniform(0.0, 1.0, n), rng.standard_normal(n)])
         sampled = simulate(VR, thetas[2], n, seed=n)
-        for s in (Sample(Family.VR, pts, seed=0), sampled, sampled.head((n + 1) // 2)):
+        for s in (Sample(Family.VR, pts), sampled, sampled.head((n + 1) // 2)):
             for k in order:
                 expect = float(np.sum(point_log_densities(VR, thetas[k], s.points)))
                 assert log_likelihood(VR, thetas[k], s) == expect, (n, k)
@@ -380,7 +380,7 @@ class TestSerialization:
         for config, theta in ((LM, ThetaLM((1.0,), (0.0,))), (VR, ThetaVR((0.5,))),
                               (AC, TWO_CELL)):
             s = simulate(config, theta, 17, seed=21)
-            back = sample_from_csv(sample_to_csv(s), seed=21)
+            back = sample_from_csv(sample_to_csv(s))
             assert back.family is s.family and back.n == s.n
             assert np.array_equal(back.points, s.points)
 
@@ -423,11 +423,11 @@ def samples(draw):
     n = draw(st.integers(0, 12))
     y = draw(st.lists(FINITE, min_size=n, max_size=n))
     if family is Family.LM:
-        return Sample(family, np.asarray(y, dtype=float), draw(st.integers()))
+        return Sample(family, np.asarray(y, dtype=float))
     d = 1 if family is Family.VR else 2
     x = draw(st.lists(st.lists(UNIT, min_size=d, max_size=d), min_size=n, max_size=n))
     points = np.column_stack([np.asarray(x, dtype=float).reshape(n, d), y])
-    return Sample(family, points, draw(st.integers()))
+    return Sample(family, points)
 
 
 # AC trees of depth <= 4: st.recursive draws the shape, the marks, and where
@@ -485,8 +485,8 @@ class TestSerializationProperties:
 
     @given(samples())
     def test_sample_csv_round_trip(self, s):
-        back = sample_from_csv(sample_to_csv(s), seed=s.seed)
-        assert (back.family, back.n, back.seed) == (s.family, s.n, s.seed)
+        back = sample_from_csv(sample_to_csv(s))
+        assert (back.family, back.n) == (s.family, s.n)
         assert back.points.shape == s.points.shape
         assert np.array_equal(back.points, s.points)
 
