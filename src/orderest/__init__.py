@@ -26,7 +26,7 @@ from .models import (  # noqa: F401
     embed, true_order, theta_dim, random_theta, rng_for, derive_seed,
 )
 from .fitting import (  # noqa: F401
-    FitResult, ProfileCurve, fit_ac, fit_k, fit_lm_em, fit_vr, profile,
+    FitResult, ProfileCurve, fit, fit_ac, fit_lm_em, profile,
 )
 from .criterion import (  # noqa: F401
     OrderEstimate, PenaltySchedule, ScheduleReport, dim_weights, estimate_orders,

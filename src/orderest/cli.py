@@ -19,7 +19,7 @@ from .experiments import (
     MODES, RUN_KEYS, ExperimentSpec, _spec_fields, entropy_table, report_invariants, run,
     write_artifact,
 )
-from .fitting import fit_k, fits_csv, profile
+from .fitting import fit, fits_csv, profile
 from .models import (
     Sample, UsageError, _kv_parse, csv_text, sample_from_csv, sample_to_csv, simulate,
 )
@@ -61,9 +61,10 @@ def cmd_fit(args) -> int:
     spec.check_reach(k_top, "orderest fit")
     sample = _load_sample(args, spec)
     if args.k is not None:
-        content = fits_csv([(args.k, fit_k(sample, args.k, spec.config))])
+        fits = zip((args.k,), fit(sample, spec.config, (args.k,)))
     else:
-        content = profile(sample, spec.config, k_top).to_csv()
+        fits = enumerate(profile(sample, spec.config, k_top).entries, start=1)
+    content = fits_csv(fits)
     out = Path(args.out or Path(spec.output_dir) / "fit.csv")
     write_artifact(out, content, spec.to_text(), "orderest fit")
     print(f"wrote {out}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .criterion import PenaltySchedule, estimate_orders, scan_top
 from .entropy import kl_divergence, project_entropy
-from .fitting import fit_k, profile
+from .fitting import fit, profile
 from .models import (
     Family, ModelConfig, Sample, Theta, UsageError, derive_seed,
     log_likelihood, logsumexp_rows, mixture_log_components, random_theta, rng_for,
@@ -90,10 +90,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return (min(lo, p), max(hi, p))
 
 
-def _resolve_k_star(config: ModelConfig, theta_star: Theta, k_star: int | None) -> int:
-    return true_order(config, theta_star) if k_star is None else int(k_star)
-
-
 def _trial(config: ModelConfig, theta: Theta, schedule: PenaltySchedule, n: int,
            seed: int, t: int, k_max: int) -> tuple[Sample, int, int]:
     """Trial t: simulate from theta, profile, estimate.  Returns (sample,
@@ -125,10 +121,10 @@ def tally_orders(orders: np.ndarray, k_star: int, estimator: str) -> tuple[int, 
 
 
 def mc_error_probs(config: ModelConfig, theta_star: Theta, schedule: PenaltySchedule,
-                   estimator: str, n: int, trials: int, seed: int, k_max: int,
-                   k_star: int | None = None) -> ErrorProbEstimate:
+                   estimator: str, n: int, trials: int, seed: int, k_max: int
+                   ) -> ErrorProbEstimate:
     """Plain Monte Carlo estimate of the three order-selection probabilities."""
-    k_star = _resolve_k_star(config, theta_star, k_star)
+    k_star = true_order(config, theta_star)
     orders = order_trials(config, theta_star, schedule, n, trials, seed, k_max)
     n_under, n_correct, n_over = tally_orders(orders, k_star, estimator)
     return ErrorProbEstimate(
@@ -155,8 +151,7 @@ def _weighted_stats(logw: np.ndarray, mask: np.ndarray, trials: int) -> tuple[fl
 
 def is_underestimation_prob(config: ModelConfig, theta_star: Theta, theta0: Theta | None,
                             schedule: PenaltySchedule, estimator: str, n: int, trials: int,
-                            seed: int, k_max: int,
-                            k_star: int | None = None) -> ErrorProbEstimate:
+                            seed: int, k_max: int) -> ErrorProbEstimate:
     """Importance-sampled P*{K_hat < K*}, sampling from theta0 in the K*-1 class.
 
     theta0 defaults to the divergence projection of theta_star onto the
@@ -172,7 +167,7 @@ def is_underestimation_prob(config: ModelConfig, theta_star: Theta, theta0: Thet
         raise UsageError(f"estimator must be one of {ESTIMATORS}")
     if n < 1 or trials < 1:
         raise UsageError("need n >= 1 and trials >= 1")
-    k_star = _resolve_k_star(config, theta_star, k_star)
+    k_star = true_order(config, theta_star)
     if k_star < 2:
         raise UsageError("underestimation needs K* >= 2")
     if theta0 is None:
@@ -289,8 +284,8 @@ def peeling_assert(sample: Sample, config: ModelConfig, k1: int, k2: int,
     n = sample.n
     if n < 1:
         raise UsageError("need a nonempty sample")
-    fit1 = fit_k(sample, k1, config, warm=theta_star)
-    fit2 = fit1 if k1 == k2 else fit_k(sample, k2, config, warm=fit1.theta)
+    fits = fit(sample, config, sorted({k1, k2}), warm=theta_star)
+    fit1, fit2 = fits[0], fits[-1]
     # sup over the K1-th class must dominate ell_n(theta*) for the algebra below
     ll_star = log_likelihood(config, theta_star, sample)
     ll1 = max(fit1.loglik, ll_star)
@@ -343,7 +338,7 @@ def slln_trace(config: ModelConfig, theta_star: Theta, k: int, n_grid,
     out = []
     for n in n_grid:
         sub = full.head(n)
-        ll = fit_k(sub, k, config, warm=theta_star if k >= k_star else None).loglik
+        ll = fit(sub, config, (k,), warm=theta_star if k >= k_star else None)[0].loglik
         ll_star = log_likelihood(config, theta_star, sub)
         if k >= k_star:  # theta* is feasible, the supremum cannot fall below it
             ll = max(ll, ll_star)

@@ -13,12 +13,13 @@ found once per call, and for AC one population DP answers every K.
 Location mixtures have no closed form; their divergences are computed by
 composite Gauss-Legendre quadrature and their projections by local search over
 the class from the starts of models.lm_start_means, as LM's EM fits are
-(reported as method="optimized", with no claim of global optimality).  Every LM divergence is one 8-point Gauss-Legendre
-rule on one kind of grid (_lm_grid): panels sigma/8 wide, reaching 13 sigmas
-past the means in play, and at most 2^16 of them.  A projection minimizes
-the divergence discretized on the grid of the box and the target's means,
-on which the target's log-density is evaluated once, and L-BFGS-B gets the
-exact gradient of that discretized objective.
+(reported as method="optimized", with no claim of global optimality).  Every
+LM divergence is one 8-point Gauss-Legendre rule on one kind of grid
+(_lm_grid): panels sigma/8 wide, reaching 13 sigmas past the means in play,
+and at most 2^16 of them.  A projection minimizes the divergence discretized
+on the grid of the box and the target's means, on which the target's
+log-density is evaluated once, and L-BFGS-B gets the exact gradient of that
+discretized objective.
 
 That L-BFGS-B search is the package's only use of scipy, so _project_lm
 imports scipy.optimize itself: importing orderest, and every run that projects

@@ -22,25 +22,24 @@
   solved in one place, _vr_fits: one contiguous basis B at the largest K
   asked (read from the sample, Sample.vr_basis), the statistics G = B'B and
   b = B'y, every K's optimum from _vr_optima, and every K's log-likelihood
-  from one residual pass.  fit_vr asks it for one K, profile() for all of
-  K = 1..K_top.  _vr_optima solves the normal equations of every requested
-  leading block of G in a single batch; a solution inside the box is the
-  exact optimum of the convex quadratic.  The identity padding and block
-  masks of a set of blocks are built once and kept (_vr_blocks), and when
-  every block's solution lies inside the box _vr_optima returns at once.
+  from one residual pass.  _vr_optima solves the normal equations of every
+  requested leading block of G in a single batch; a solution inside the box
+  is the exact optimum of the convex quadratic.  The identity padding and
+  block masks of a set of blocks are built once and kept (_vr_blocks), and
+  when every block's solution lies inside the box _vr_optima returns at once.
   Where a bound binds or a block is singular, _box_lsq (a finite active-set
   method) finishes from the previous block's optimum: every VR fit is exact,
   and FitResult.iterations counts its active-set changes.
 - AC: exact dynamic programming over guillotine trees (see guillotine.py).
-  fit_ac builds one DP per call and asks it for every K it is given: one K
-  for fit_k, K = 1..K_top for profile().
+  fit_ac builds one DP per call and asks it for every K it is given.
 
-fit_k() dispatches a single-K fit by family and passes its warm= parameter
-to fit_lm_em, which embeds it (a parameter of a class <= K) into the K-th
-class as the first EM start, the one warm start rule; the exact VR and AC
-fits need none.  profile() fits K = 1..K_top, VR and AC in one call each and
-LM one K at a time, warm from the previous level, and enforces that the
-maximized log-likelihood never decreases in K.
+fit(sample, config, ks, warm) is the one family dispatch: the fits of one
+sample at the increasing K of ks, VR and AC in one call each and LM one K at
+a time, each K warm from the fit before it and the first from warm (a
+parameter of a class <= ks[0]), which fit_lm_em embeds into the K-th class as
+the first EM start, the one warm start rule; the exact VR and AC fits need
+none.  profile() is fit over K = 1..K_top, repaired so that the maximized
+log-likelihood never decreases in K.
 """
 
 from __future__ import annotations
@@ -95,9 +94,6 @@ class ProfileCurve:
 
     def logliks(self) -> dict[int, float]:
         return {k: r.loglik for k, r in enumerate(self.entries, start=1)}
-
-    def to_csv(self) -> str:
-        return fits_csv(enumerate(self.entries, start=1))
 
 
 def fits_csv(fits) -> str:
@@ -218,13 +214,10 @@ def _em_run(z: np.ndarray, config: ModelConfig, w0: np.ndarray, m0: np.ndarray
         return ~out
 
     run = np.arange(n_starts)
-    state = [theta.copy(), *e_pass(run, theta), np.ones(n_starts)]
-    log_path(run, state[3])
-    keep = finish(passes >= EM_MAX_ITER, state[0], converged)
-    while True:
-        run, (t0, c0, p0, l0, step_max) = run[keep], [a[keep] for a in state]
-        if run.size == 0:
-            break
+    t0, c0, p0, l0 = theta.copy(), *e_pass(run, theta)
+    step_max = np.ones(n_starts)
+    log_path(run, l0)
+    while run.size:
         t1 = _em_map(z, c0, p0, t0, lo, hi)
         c1, p1, l1 = e_pass(run, t1)
         stop = l1 - l0 < EM_TOL
@@ -255,7 +248,7 @@ def _em_run(z: np.ndarray, config: ModelConfig, w0: np.ndarray, m0: np.ndarray
         log_path(run, la)
         stop = la - l0 < EM_TOL
         keep = finish(stop | (passes[run] >= EM_MAX_ITER), ta, stop)
-        state = [ta, ca, pa, la, step_max]
+        run, t0, c0, p0, l0, step_max = (a[keep] for a in (run, ta, ca, pa, la, step_max))
     return theta[:, :k], theta[:, k:], [path[-1] for path in paths], passes, converged, paths
 
 
@@ -388,8 +381,6 @@ def _vr_fits(sample: Sample, config: ModelConfig, ks: tuple[int, ...]) -> list[F
 
     The basis is made contiguous first: a Gram matrix taken on a strided view
     of a wider basis can differ in the last bit."""
-    if sample.family is not Family.VR:
-        raise UsageError(f"a VR fit needs a VR sample, got {sample.family.value}")
     basis = np.ascontiguousarray(sample.vr_basis(ks[-1]))
     coeffs, changes = _vr_optima(basis.T @ basis, basis.T @ sample.y, ks,
                                  config.m_lo, config.m_hi)
@@ -397,14 +388,6 @@ def _vr_fits(sample: Sample, config: ModelConfig, ks: tuple[int, ...]) -> list[F
                                        config.sigma).sum(axis=1).tolist()
     return [FitResult(ThetaVR(row[:k]), ll, c, True, 1)
             for k, row, ll, c in zip(ks, coeffs.tolist(), logliks, changes)]
-
-
-def fit_vr(sample: Sample, k: int, config: ModelConfig) -> FitResult:
-    """Global optimum of the convex box-constrained quadratic."""
-    if config.family is not Family.VR:
-        raise UsageError("fit_vr needs a VR config")
-    check_k(config, k)
-    return _vr_fits(sample, config, (k,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +409,29 @@ def fit_ac(sample: Sample, config: ModelConfig, ks: Iterable[int]) -> list[FitRe
             for theta in thetas]
 
 
-def fit_k(sample: Sample, k: int, config: ModelConfig,
-          warm: Theta | None = None) -> FitResult:
-    """Family dispatch for a single-K fit; warm, a parameter of a class <= K,
-    is LM's first EM start (the exact VR and AC fits ignore it)."""
-    if config.family is Family.LM:
-        return fit_lm_em(sample, k, config, warm=warm)
+def fit(sample: Sample, config: ModelConfig, ks: Iterable[int],
+        warm: Theta | None = None) -> list[FitResult]:
+    """One FitResult per K of ks, which must be nonempty and strictly
+    increasing; every K is checked before any fit starts.  warm, a parameter
+    of a class <= ks[0], is LM's first start at ks[0], and each LM fit starts
+    the next K (the exact VR and AC fits need no start)."""
+    ks = tuple(ks)
+    if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise UsageError(f"need a nonempty, strictly increasing ks, got {ks}")
+    for k in ks:
+        check_k(config, k)
+    if sample.family is not config.family:
+        raise UsageError(f"a {config.family.value} fit needs a {config.family.value} sample, "
+                         f"got {sample.family.value}")
     if config.family is Family.VR:
-        return fit_vr(sample, k, config)
-    return fit_ac(sample, config, (k,))[0]
+        return _vr_fits(sample, config, ks)
+    if config.family is Family.AC:
+        return fit_ac(sample, config, ks)
+    fits = []
+    for k in ks:
+        fits.append(fit_lm_em(sample, k, config, warm=warm))
+        warm = fits[-1].theta
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -442,19 +439,9 @@ def fit_k(sample: Sample, k: int, config: ModelConfig,
 # ---------------------------------------------------------------------------
 
 def profile(sample: Sample, config: ModelConfig, k_top: int) -> ProfileCurve:
-    """Fit K = 1..k_top with warm starts; enforce monotone loglik via embedding."""
-    check_k(config, k_top)
-    ks = tuple(range(1, k_top + 1))
-    entries: list[FitResult] = []
-    if config.family is Family.VR:
-        entries = _vr_fits(sample, config, ks)
-    elif config.family is Family.AC:
-        entries = fit_ac(sample, config, ks)
-    else:
-        prev: FitResult | None = None
-        for k in ks:
-            prev = fit_k(sample, k, config, warm=prev and prev.theta)
-            entries.append(prev)
+    """fit at K = 1..k_top; enforce monotone loglik via embedding."""
+    check_k(config, k_top)  # before a range of a k_top past the cap is built
+    entries = fit(sample, config, range(1, k_top + 1))
 
     # nestedness: replace any dip with the embedded previous solution
     for i in range(1, len(entries)):

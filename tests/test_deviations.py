@@ -10,7 +10,7 @@ from orderest import (
 )
 from orderest import deviations
 from orderest.deviations import tally_orders
-from orderest.fitting import fit_k
+from orderest.fitting import fit
 from orderest.models import (
     Leaf, Split, ThetaAC, derive_seed, log_likelihood, random_theta, rng_for,
 )
@@ -108,15 +108,16 @@ class TestOrderTrials:
 
 class TestImportanceSampling:
     def test_boundary_theta0_equals_theta_star(self):
-        # theta* = (1, 0) declared order 2: theta0 = (1,) has the same density
-        # and the same regression function, so the trial streams coincide,
-        # every weight is exactly 1 and IS reduces to plain MC
-        theta_star = ThetaVR((1.0, 0.0))
+        # theta* = (1, 1e-300) has order 2, but in floating point theta0 = (1,)
+        # has its regression function and density (1e-300 is below every
+        # ulp of f), so the trial streams coincide, every weight is exactly 1
+        # and IS reduces to plain MC
+        theta_star = ThetaVR((1.0, 1e-300))
         theta0 = ThetaVR((1.0,))
         est = is_underestimation_prob(VR, theta_star, theta0, BIC_SMALL, "global",
-                                      100, 50, seed=21, k_max=3, k_star=2)
+                                      100, 50, seed=21, k_max=3)
         plain = mc_error_probs(VR, theta_star, BIC_SMALL, "global", 100, 50,
-                               seed=21, k_max=3, k_star=2)
+                               seed=21, k_max=3)
         assert est.p_under == plain.p_under
         assert est.p_over == plain.p_over
         assert est.p_correct == plain.p_correct
@@ -131,8 +132,8 @@ class TestImportanceSampling:
                                     0, 10, seed=0, k_max=3)  # n = 0
         with pytest.raises(UsageError):
             is_underestimation_prob(VR, ThetaVR((1.0, 0.5)), ThetaVR((0.5, 0.5)),
-                                    BIC_SMALL, "global", 100, 10, seed=0, k_max=3,
-                                    k_star=2)  # theta0 outside the K*-1 class
+                                    BIC_SMALL, "global", 100, 10, seed=0,
+                                    k_max=3)  # theta0 outside the K*-1 class
 
     def test_default_theta0_is_projection(self):
         est = is_underestimation_prob(VR, ThetaVR((1.0, 0.5)), None, BIC_SMALL,
@@ -194,8 +195,8 @@ class TestExponentFits:
 def per_probe_peeling(sample, config, k1, k2, theta_star, n_probes, tol, seed):
     """peeling_assert for K* <= K1 < K2 on LM, one log_likelihood call per probe."""
     n = sample.n
-    fit1 = fit_k(sample, k1, config, warm=theta_star)
-    fit2 = fit_k(sample, k2, config, warm=fit1.theta)
+    [fit1] = fit(sample, config, (k1,), warm=theta_star)
+    [fit2] = fit(sample, config, (k2,), warm=fit1.theta)
     ll_star = log_likelihood(config, theta_star, sample)
     right = (fit2.loglik - max(fit1.loglik, ll_star)) / n
     rng = rng_for(seed, deviations._PROBE_STREAM)

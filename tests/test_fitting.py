@@ -9,14 +9,14 @@ from scipy.special import logsumexp
 
 from orderest import (
     Family, Leaf, ModelConfig, ParameterError, Sample, Split, ThetaAC, ThetaLM, ThetaVR,
-    FitResult, UsageError, embed, estimate_orders, fit_ac, fit_k, fit_lm_em, fit_vr,
+    FitResult, UsageError, embed, estimate_orders, fit, fit_ac, fit_lm_em,
     is_underestimation_prob, log_likelihood, parse_schedule, peeling_assert, profile,
     project_entropy, random_theta, simulate, stein_bound, true_order,
 )
 from orderest import fitting, models
 from orderest.entropy import EntropyValue
 from orderest.experiments import ExperimentSpec, entropy_table
-from orderest.fitting import EM_MAX_ITER, EM_TOL, _box_lsq, _lm_start_list
+from orderest.fitting import EM_MAX_ITER, EM_TOL, _box_lsq, _lm_start_list, fits_csv
 from orderest.models import (
     derive_seed, logsumexp_rows, mixture_log_components, rng_for, vr_basis_matrix,
 )
@@ -350,7 +350,7 @@ class TestFitVr:
     def test_zero_response_gives_zero_coeffs(self):
         x = np.linspace(0.01, 0.99, 40)
         s = Sample(Family.VR, np.column_stack([x, np.zeros(40)]))
-        res = fit_vr(s, 3, VR)
+        [res] = fit(s, VR, (3,))
         assert np.allclose(res.theta.coeffs, 0.0, atol=1e-12)
 
     def test_noiseless_recovery(self):
@@ -358,7 +358,7 @@ class TestFitVr:
         x = np.linspace(0.0, 1.0, 50)
         y = vr_basis_matrix(x, 3) @ np.asarray(theta.coeffs)
         s = Sample(Family.VR, np.column_stack([x, y]))
-        res = fit_vr(s, 3, VR)
+        [res] = fit(s, VR, (3,))
         assert np.allclose(res.theta.coeffs, theta.coeffs, atol=1e-8)
 
     def test_matches_projected_gradient_oracle(self):
@@ -366,7 +366,7 @@ class TestFitVr:
         x = rng.uniform(0, 1, 200)
         y = rng.normal(0.0, 1.0, 200) + 0.7 * math.sqrt(2) * np.cos(math.pi * x)
         s = Sample(Family.VR, np.column_stack([x, y]))
-        res = fit_vr(s, 4, VR)
+        [res] = fit(s, VR, (4,))
 
         basis = vr_basis_matrix(x, 4)
         gram, b = basis.T @ basis, basis.T @ y
@@ -386,7 +386,7 @@ class TestFitVr:
     def test_box_stationarity_conditions(self):
         tight = ModelConfig(Family.VR, sigma=1.0, m_lo=-0.25, m_hi=0.25)
         s = simulate(tight, ThetaVR((0.25, -0.25)), 300, seed=8)
-        res = fit_vr(s, 3, tight)
+        [res] = fit(s, tight, (3,))
         basis = vr_basis_matrix(s.x, 3)
         gram, b = basis.T @ basis, basis.T @ s.y
         t = np.asarray(res.theta.coeffs)
@@ -478,10 +478,10 @@ class TestVrOptima:
         # 20 points with K near or past n: the Gram matrix is ill-conditioned or
         # singular and a bound binds, so every K >= 19 takes the active-set path
         s = simulate(VR, ThetaVR((1.0, 0.5)), 20, seed=5)
-        fit = fit_vr(s, k, VR)
+        [res] = fit(s, VR, (k,))
         basis = vr_basis_matrix(s.x, k)
-        coeffs = np.asarray(fit.theta.coeffs)
-        assert fit.converged
+        coeffs = np.asarray(res.theta.coeffs)
+        assert res.converged
         _assert_kkt(basis.T @ basis, basis.T @ s.y, coeffs, VR.m_lo, VR.m_hi)
         sse, oracle = (float(((s.y - basis @ c) ** 2).sum())
                        for c in (coeffs, _bvls(basis, s.y, VR.m_lo, VR.m_hi)))
@@ -495,7 +495,8 @@ class TestVrOptima:
             raise AssertionError(f"a basis of {width} columns was built")
 
         monkeypatch.setattr(Sample, "vr_basis", no_basis)
-        for call in (fit_vr, fit_k, lambda s, k, c: profile(s, c, k)):
+        for call in (lambda s, k, c: fit(s, c, (k,)), lambda s, k, c: fit(s, c, (1, 2, k)),
+                     lambda s, k, c: profile(s, c, k)):
             with pytest.raises(UsageError, match=f"K={k} exceeds the hard cap 64"):
                 call(sample, k, VR)
 
@@ -522,9 +523,9 @@ class TestVrBasisBuilds:
         rng = rng_for(74)
         x = rng.uniform(0.0, 1.0, 80)
         s = Sample(Family.VR, np.column_stack([x, rng.standard_normal(80)]))
-        fit_vr(s, 3, VR)
+        fit(s, VR, (3,))
         assert builds == [3]
-        fit_vr(s, 2, VR)
+        fit(s, VR, (2,))
         assert builds == [3]
 
     def test_one_is_trial_builds_at_most_twice(self, builds):
@@ -995,7 +996,7 @@ class TestSharedDp:
             prof = profile(sample, config, k_top)
             assert len(dp_builds) == 1, i
             for k in range(1, k_top + 1):
-                assert repr(prof.result(k)) == repr(fit_k(sample, k, config)), (i, k)
+                assert repr(prof.result(k)) == repr(fit(sample, config, (k,))[0]), (i, k)
 
     def test_projection_table_builds_one_dp(self, dp_builds):
         config = ModelConfig(Family.AC, sigma=1.0, ac_depth_max=3)
@@ -1058,7 +1059,7 @@ class TestSharedDp:
         three_cell = ThetaAC(Split(1, 0.5, Split(2, 0.5, Leaf(0.0), Leaf(0.5)), Leaf(1.0)))
         spec = ExperimentSpec(AC, three_cell, "bic D=dim", mode="entropy_table", k_max=4)
         calls = {"profile": lambda: profile(sample, AC, 4),
-                 "fit_k": lambda: fit_k(sample, 3, AC),
+                 "fit": lambda: fit(sample, AC, (3,)),
                  "true_order": lambda: true_order(AC, TWO_CELL),
                  "project_entropy": lambda: project_entropy(AC, three_cell, (1, 2)),
                  "stein_bound": lambda: stein_bound(AC, three_cell, (2, 1, 4)),
@@ -1080,8 +1081,8 @@ def _bvls_logliks(sample, config, k_top):
 
 
 class TestFitKWarm:
-    """fit_k(warm=theta) is fit_lm_em with embed(theta) as its first start on LM,
-    and a no-op on the exact VR and AC fits."""
+    """fit at one K with warm=theta is fit_lm_em with embed(theta) as its first
+    start on LM, and ignores warm on the exact VR and AC fits."""
 
     @pytest.mark.parametrize("theta, warm, k, seed", [
         (ThetaLM((1.0,), (0.5,)), ThetaLM((1.0,), (0.5,)), 2, 3),
@@ -1091,12 +1092,12 @@ class TestFitKWarm:
     ])
     def test_lm_warm_is_the_embedded_first_start(self, theta, warm, k, seed):
         s = simulate(LM, theta, 90, seed=seed)
-        fit = fitting.fit_k(s, k, LM, warm=warm)
-        assert fit == fit_lm_em(s, k, LM, warm=warm)
-        assert fit.starts_used == 10
+        [res] = fit(s, LM, (k,), warm=warm)
+        assert res == fit_lm_em(s, k, LM, warm=warm)
+        assert res.starts_used == 10
         first = fit_lm_em(s, k, LM, warm=warm, track_paths=True).loglik_paths[0][0]
         assert first == pytest.approx(log_likelihood(LM, embed(LM, warm, k), s), rel=1e-12)
-        assert fitting.fit_k(s, k, LM) == fit_lm_em(s, k, LM)
+        assert fit(s, LM, (k,)) == [fit_lm_em(s, k, LM)]
 
     @pytest.mark.parametrize("config, theta, warm, k", [
         (VR, ThetaVR((1.0, 0.5)), ThetaVR((1.0, 0.5)), 3),
@@ -1106,14 +1107,63 @@ class TestFitKWarm:
     ])
     def test_exact_fits_ignore_warm(self, config, theta, warm, k):
         s = simulate(config, theta, 70, seed=8)
-        assert fitting.fit_k(s, k, config, warm=warm) == fitting.fit_k(s, k, config)
+        assert fit(s, config, (k,), warm=warm) == fit(s, config, (k,))
+
+
+class TestFit:
+    """fit(sample, config, ks, warm) checks every K before any fit starts, and
+    answers a set of K as the single-K fits chained by their warm starts do."""
+
+    @pytest.mark.parametrize("config, theta", [
+        (LM, ThetaLM((0.5, 0.5), (-1.0, 1.0))), (VR, ThetaVR((1.0, 0.5))), (AC, TWO_CELL)])
+    @pytest.mark.parametrize("ks", [(), (2, 1), (1, 1), (1, 3, 3), (0, 1), "past the cap",
+                                    "another family"])
+    def test_bad_request_fails_before_any_fit(self, config, theta, ks, monkeypatch):
+        sample = simulate(config, theta, 30, seed=3)
+        if ks == "past the cap":
+            ks = (1, 2 ** config.ac_depth_max + 1 if config.family is Family.AC else 65)
+        elif ks == "another family":
+            ks, config = (1, 2), LM if config.family is Family.VR else VR
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(Sample, "vr_basis", no_fit)
+        monkeypatch.setattr(guillotine, "_grid_dp", no_fit)
+        monkeypatch.setattr(fitting, "_em_run", no_fit)
+        with pytest.raises(UsageError):
+            fit(sample, config, ks)
+
+    @pytest.mark.parametrize("config, theta, warm", [
+        (LM, ThetaLM((0.3, 0.7), (-1.0, 1.5)), None),
+        (LM, ThetaLM((0.3, 0.7), (-1.0, 1.5)), ThetaLM((1.0,), (0.2,))),
+        (VR, ThetaVR((1.0, 0.5)), None),
+        (ModelConfig(Family.VR, sigma=0.5, m_lo=-0.25, m_hi=0.25), ThetaVR((0.25, -0.25)), None),
+        (AC, TWO_CELL, None),
+    ])
+    def test_ks_equal_the_chained_single_k_fits(self, config, theta, warm):
+        for seed in range(4):
+            s = simulate(config, theta, 80, seed=seed)
+            for ks in ((1, 2), (2, 3), (2, 4)):
+                [first] = fit(s, config, ks[:1], warm=warm)
+                [second] = fit(s, config, ks[1:], warm=first.theta)
+                got = fit(s, config, ks, warm=warm)
+                if config.family is Family.LM:
+                    assert got == [first, second], (seed, ks)
+                elif config.family is Family.AC:
+                    assert repr(got) == repr([first, second]), (seed, ks)
+                else:
+                    for a, b in zip(got, (first, second)):
+                        assert a.loglik == pytest.approx(b.loglik, rel=1e-12), (seed, ks)
+                        assert a.theta.coeffs == pytest.approx(b.theta.coeffs, rel=1e-12,
+                                                               abs=1e-12), (seed, ks)
 
 
 class TestProfile:
     def test_k_top_one_matches_fitter(self):
         s = simulate(VR, ThetaVR((1.0,)), 60, seed=2)
         prof = profile(s, VR, 1)
-        solo = fit_vr(s, 1, VR)
+        [solo] = fit(s, VR, (1,))
         assert prof.loglik(1) == pytest.approx(solo.loglik, abs=1e-12)
 
     @pytest.mark.parametrize("config,theta,k_top", [
@@ -1131,7 +1181,7 @@ class TestProfile:
         s = simulate(VR, ThetaVR((1.0, 0.5)), 400, seed=14)
         prof = profile(s, VR, 4)
         for k in range(1, 5):
-            fresh = fit_vr(s, k, VR)
+            [fresh] = fit(s, VR, (k,))
             assert prof.loglik(k) == pytest.approx(fresh.loglik, abs=1e-6)
 
     @pytest.mark.parametrize("sigma", [0.1, 1.0, 3.0])
@@ -1207,6 +1257,6 @@ class TestProfile:
 
     def test_profile_csv(self):
         s = simulate(VR, ThetaVR((1.0,)), 30, seed=2)
-        lines = profile(s, VR, 2).to_csv().splitlines()
+        lines = fits_csv(enumerate(profile(s, VR, 2).entries, start=1)).splitlines()
         assert lines[0] == "K,loglik,converged,iterations"
         assert len(lines) == 3 and lines[1].startswith("1,")

@@ -10,7 +10,7 @@ re-records them and says so in CHANGES.md.
 import numpy as np
 
 from orderest import (
-    Family, ModelConfig, ThetaLM, ThetaVR, fit_vr, is_underestimation_prob, order_trials,
+    Family, ModelConfig, ThetaLM, ThetaVR, fit, is_underestimation_prob, order_trials,
     parse_schedule, profile, simulate,
 )
 from orderest.models import Leaf, Split, ThetaAC, fmt, point_log_densities
@@ -95,8 +95,8 @@ def test_vr_fits_with_binding_bounds_pinned():
     for order in ((1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3)):
         sample = simulate(VR, ThetaVR((1.0, 0.5)), 40, seed=16)
         for k in order:
-            fit = fit_vr(sample, k, tight)
-            got = (fmt(fit.loglik), [fmt(c) for c in fit.theta.coeffs], fit.iterations)
+            [res] = fit(sample, tight, (k,))
+            got = (fmt(res.loglik), [fmt(c) for c in res.theta.coeffs], res.iterations)
             assert got == want[k], (order, k)
 
 
