@@ -8,8 +8,8 @@ Modules:
   squares / guillotine-tree DP) and the per-K profile curve.
 - criterion: penalty schedules pen(n, K) = v_n D(K), the penalized criterion,
   the first-local-max and smallest-global-max order estimators (both read by
-  estimate_orders), how far a profile must reach for them (scan_top), and
-  the finite-grid schedule diagnostics.
+  estimate_orders from crit at K = 1..K_max), and the finite-grid schedule
+  diagnostics.
 - entropy: relative entropies, projections onto the classes in both
   directions, and the projection characterizations.
 - deviations: Monte Carlo / importance-sampling error probabilities, exponent

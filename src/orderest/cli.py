@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .criterion import estimate_orders, scan_top
+from .criterion import estimate_orders
 from .deviations import ESTIMATORS
 from .experiments import (
     MODES, RUN_KEYS, ExperimentSpec, _spec_fields, entropy_table, report_invariants, run,
@@ -57,7 +57,7 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     spec = _load_spec(args)
     k_top = (args.k if args.k is not None else args.k_top if args.k_top is not None
-             else scan_top(spec.k_max))
+             else spec.k_max)
     spec.check_reach(k_top, "orderest fit")
     sample = _load_sample(args, spec)
     if args.k is not None:
@@ -73,19 +73,17 @@ def cmd_fit(args) -> int:
 
 def cmd_order(args) -> int:
     spec = _load_spec(args)
-    k_top = scan_top(spec.k_max)
-    spec.check_reach(k_top, "orderest order")
+    spec.check_reach(spec.k_max, "orderest order")
     sample = _load_sample(args, spec)
     schedule = spec.schedule()
-    prof = profile(sample, spec.config, k_top)
+    prof = profile(sample, spec.config, spec.k_max)
     est = estimate_orders(prof, schedule, spec.k_max)
     content = csv_text("K,loglik,penalty,crit",
                        ((k, prof.loglik(k), schedule.penalty(sample.n, k), crit)
                         for k, crit in sorted(est.crit_values.items())))
     out = Path(args.out or Path(spec.output_dir) / "order.csv")
     write_artifact(out, content, spec.to_text(), "orderest order")
-    print(f"k_local={est.k_local} k_global={est.k_global} "
-          f"scan_cap_hit={int(est.scan_cap_hit)}")
+    print(f"k_local={est.k_local} k_global={est.k_global}")
     return 0
 
 

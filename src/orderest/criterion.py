@@ -1,13 +1,13 @@
 """Penalty schedules, the penalized criterion and the two order estimators.
 
 crit(n, K) = sup-loglik(K) - pen(n, K) with pen(n, K) = v_n * D(K).  Both
-estimators scan K = 1..K_max: the local one returns the first K whose
+estimators scan K = 1..K_max: the local one returns the first K < K_max whose
 criterion does not increase at K+1 (K_max when none), the global one the
 smallest argmax.  Ties within 1e-12 count as equal in both, which keeps the
 two estimators deterministic and preserves k_global >= k_local.
 estimate_orders() reads both from one crit_values() map at the profile's own
-n, so every profile must reach scan_top(K_max) = K_max + 1, the one rule for
-how far a trial, CLI profile or spec schedule reaches.
+n and K = 1..K_max, so a trial, CLI profile or spec schedule reaches K_max
+and no further.
 
 validate_schedule() checks a named growth regime's conditions on finite
 grids (a diagnostic, not a proof):
@@ -175,30 +175,22 @@ class OrderEstimate:
     k_local: int
     k_global: int
     crit_values: dict[int, float]
-    scan_cap_hit: bool
-
-
-def scan_top(k_max: int) -> int:
-    """The largest K whose crit the estimators read: the local one compares
-    crit(k_max) with crit(k_max + 1)."""
-    return k_max + 1
 
 
 def estimate_orders(profile: ProfileCurve, schedule: PenaltySchedule,
                     k_max: int) -> OrderEstimate:
-    """The local estimator (first K <= k_max with crit(K) >= crit(K+1), else
+    """The local estimator (first K < k_max with crit(K) >= crit(K+1), else
     k_max) and the global one (smallest argmax of crit over 1..k_max), with
-    crit at the profile's sample size."""
-    k_top = scan_top(k_max)
-    if profile.k_top < k_top:
-        raise UsageError(f"the scan needs the profile up to K={k_top}, not {profile.k_top}")
-    values = crit_values(profile.logliks(), schedule, profile.n)
-    k_local = next((k for k in range(1, k_max + 1)
-                    if values[k] >= values[k + 1] - TIE_TOL), None)
-    best = max(values[k] for k in range(1, k_max + 1))
-    k_global = next(k for k in range(1, k_max + 1) if values[k] >= best - TIE_TOL)
-    return OrderEstimate(k_local=k_local or k_max, k_global=k_global,
-                         crit_values=values, scan_cap_hit=k_local is None)
+    crit at K = 1..k_max and the profile's sample size."""
+    if profile.k_top < k_max:
+        raise UsageError(f"the estimators need the profile up to K={k_max}, "
+                         f"not {profile.k_top}")
+    values = crit_values({k: profile.loglik(k) for k in range(1, k_max + 1)},
+                         schedule, profile.n)
+    k_local = next((k for k in range(1, k_max) if values[k] >= values[k + 1] - TIE_TOL), k_max)
+    best = max(values.values())
+    k_global = next(k for k in values if values[k] >= best - TIE_TOL)
+    return OrderEstimate(k_local=k_local, k_global=k_global, crit_values=values)
 
 
 # ---------------------------------------------------------------------------

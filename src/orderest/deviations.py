@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import PenaltySchedule, estimate_orders, scan_top
+from .criterion import PenaltySchedule, estimate_orders
 from .entropy import kl_divergence, project_entropy
 from .fitting import fit, profile
 from .models import (
@@ -95,7 +95,7 @@ def _trial(config: ModelConfig, theta: Theta, schedule: PenaltySchedule, n: int,
     """Trial t: simulate from theta, profile, estimate.  Returns (sample,
     k_local, k_global); depends only on (seed, t)."""
     sample = simulate(config, theta, n, derive_seed(seed, _TRIAL_STREAM, t))
-    prof = profile(sample, config, scan_top(k_max))
+    prof = profile(sample, config, k_max)
     est = estimate_orders(prof, schedule, k_max)
     return sample, est.k_local, est.k_global
 

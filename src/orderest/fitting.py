@@ -12,10 +12,12 @@
   log-likelihood is at least theta1's, and otherwise the round falls back to
   theta2, so the accepted log-likelihoods never decrease.  A start stops when
   theta1 (or a fall-back) gains less than EM_TOL over theta0, or after
-  EM_MAX_ITER E-passes; FitResult.iterations counts E-passes.  _em_run runs
-  all starts of one fit as one (S, n, K) batch and freezes each start where
-  it stops, so every start follows the path it would follow alone; the best
-  start wins, ties within 1e-12 going to the earliest.  The 9 starts are z's
+  EM_MAX_ITER E-passes, at the better of the two (theta0 when the last step
+  lost log-likelihood to rounding).  FitResult.iterations counts E-passes,
+  and its weights are EM's own, as evaluated.  _em_run runs all starts of
+  one fit as one (S, n, K) batch and freezes each start where it stops, so
+  every start follows the path it would follow alone; the best start wins,
+  ties within 1e-12 going to the earliest.  The 9 starts are z's
   quantile means and 4 mirrored pairs of fixed jitters (models.lm_start_means),
   all with uniform weights: a fit reads the data alone.
 - VR: maximizing the likelihood is a box-constrained least-squares problem,
@@ -25,11 +27,11 @@
   from one residual pass.  _vr_optima solves the normal equations of every
   requested leading block of G in a single batch; a solution inside the box
   is the exact optimum of the convex quadratic.  The identity padding and
-  block masks of a set of blocks are built once and kept (_vr_blocks), and
-  when every block's solution lies inside the box _vr_optima returns at once.
+  block masks of a set of blocks are built once and kept (_vr_blocks).
   Where a bound binds or a block is singular, _box_lsq (a finite active-set
-  method) finishes from the previous block's optimum: every VR fit is exact,
-  and FitResult.iterations counts its active-set changes.
+  method) solves that block alone from zero: every VR fit is exact, and
+  FitResult.iterations counts its active-set changes, whatever other K the
+  call asked.
 - AC: exact dynamic programming over guillotine trees (see guillotine.py).
   fit_ac builds one DP per call and asks it for every K it is given.
 
@@ -173,11 +175,12 @@ def _em_run(z: np.ndarray, config: ModelConfig, w0: np.ndarray, m0: np.ndarray
     a round whose step reached it, and shrinks 4-fold (not below 1) when such a
     step is rejected.  A start stops at the first theta1 or fall-back that
     gains less than EM_TOL over theta0 (converged), or once it has taken
-    EM_MAX_ITER E-passes, at its best evaluated EM iterate.  All running starts
-    share one (S, n, K) array per E-pass and a start is frozen where it stops,
-    so every start follows the path it would follow alone.  Returns per start,
-    in order: weights, means, final loglik, E-passes, converged and the loglik
-    path of its accepted iterates.
+    EM_MAX_ITER E-passes, at its best evaluated EM iterate: theta0 when that
+    last point's log-likelihood is below theta0's, and then the point stays
+    off the path.  All running starts share one (S, n, K) array per E-pass
+    and a start is frozen where it stops, so every start follows the path it
+    would follow alone.  Returns per start, in order: weights, means, final
+    loglik, E-passes, converged and the loglik path of its accepted iterates.
     """
     theta = np.concatenate([np.array(w0, dtype=float), np.array(m0, dtype=float)], axis=1)
     n_starts, k = theta.shape[0], theta.shape[1] // 2
@@ -203,8 +206,8 @@ def _em_run(z: np.ndarray, config: ModelConfig, w0: np.ndarray, m0: np.ndarray
                                  f"are too extreme for sigma={config.sigma:g}")
         return comp, per_obs, ll
 
-    def log_path(starts, ll):
-        for s, v in zip(starts, ll.tolist()):
+    def log_path(rows, ll):
+        for s, v in zip(run[rows], ll[rows].tolist()):
             paths[s].append(v)
 
     def finish(out, t, conv):
@@ -216,15 +219,16 @@ def _em_run(z: np.ndarray, config: ModelConfig, w0: np.ndarray, m0: np.ndarray
     run = np.arange(n_starts)
     t0, c0, p0, l0 = theta.copy(), *e_pass(run, theta)
     step_max = np.ones(n_starts)
-    log_path(run, l0)
+    log_path(slice(None), l0)
     while run.size:
         t1 = _em_map(z, c0, p0, t0, lo, hi)
         c1, p1, l1 = e_pass(run, t1)
         stop = l1 - l0 < EM_TOL
         out = stop | (passes[run] >= EM_MAX_ITER)
         if out.any():
-            log_path(run[out], l1[out])
-            keep = finish(out, t1, stop)
+            up = l1 >= l0  # a start that stops on a drop ends at theta0
+            log_path(out & up, l1)
+            keep = finish(out, np.where(up[:, None], t1, t0), stop)
             run, t0, l0, step_max, t1, c1, p1, l1 = (
                 a[keep] for a in (run, t0, l0, step_max, t1, c1, p1, l1))
             if run.size == 0:
@@ -245,9 +249,10 @@ def _em_run(z: np.ndarray, config: ModelConfig, w0: np.ndarray, m0: np.ndarray
         if at_max.any():
             step_max = np.where(at_max, np.where(back, np.maximum(step_max / 4.0, 1.0),
                                                  step_max * 4.0), step_max)
-        log_path(run, la)
+        up = la >= l0  # only a stopping start can drop; it ends at theta0
+        log_path(up, la)
         stop = la - l0 < EM_TOL
-        keep = finish(stop | (passes[run] >= EM_MAX_ITER), ta, stop)
+        keep = finish(stop | (passes[run] >= EM_MAX_ITER), np.where(up[:, None], ta, t0), stop)
         run, t0, c0, p0, l0, step_max = (a[keep] for a in (run, ta, ca, pa, la, step_max))
     return theta[:, :k], theta[:, k:], [path[-1] for path in paths], passes, converged, paths
 
@@ -282,8 +287,7 @@ def fit_lm_em(sample: Sample, k: int, config: ModelConfig, starts: int = 9,
     for i in range(1, len(inits)):
         if lls[i] > lls[best] + 1e-12:
             best = i
-    w, m = w[best], m[best]
-    theta = ThetaLM(tuple(w / w.sum()), tuple(m))
+    theta = ThetaLM(tuple(w[best]), tuple(m[best]))
     return FitResult(theta=theta, loglik=log_likelihood(config, theta, sample),
                      iterations=int(iters[best]), converged=bool(conv[best]),
                      starts_used=len(inits),
@@ -352,7 +356,8 @@ def _vr_optima(gram: np.ndarray, b: np.ndarray, ks: tuple[int, ...], lo: float, 
     solution inside [lo, hi] is the exact optimum, and when every block's is,
     that is the answer; the zero padding always lies in the box, since VR needs
     lo <= 0 <= hi.  Otherwise a bound binds or the block is singular, and
-    _box_lsq runs from the previous block's optimum padded with a zero.
+    _box_lsq runs from zero on that block alone, so its fit does not depend on
+    the other K asked.
     """
     top = gram.shape[0]
     inside, block_mask, eye = _vr_blocks(ks, top)
@@ -364,15 +369,10 @@ def _vr_optima(gram: np.ndarray, b: np.ndarray, ks: tuple[int, ...], lo: float, 
         coeffs = np.full(inside.shape, np.nan)
     solved = ((lo <= coeffs) & (coeffs <= hi)).all(axis=1)
     changes = [0] * len(ks)
-    if solved.all():
-        return coeffs, changes
-    theta = np.zeros(top)
-    for i, k in enumerate(ks):
-        if solved[i]:
-            theta[:k] = coeffs[i, :k]
-            continue
-        changes[i] = _box_lsq(gram[:k, :k], b[:k], theta[:k], lo, hi)
-        coeffs[i] = theta  # still zero past k
+    for i in np.flatnonzero(~solved):
+        k = ks[i]
+        coeffs[i] = 0.0
+        changes[i] = _box_lsq(gram[:k, :k], b[:k], coeffs[i, :k], lo, hi)
     return coeffs, changes
 
 

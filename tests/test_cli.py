@@ -1,10 +1,11 @@
 import json
+import re
 import time
 from pathlib import Path
 
 import pytest
 
-from orderest import parse_spec
+from orderest import fitting, parse_spec
 from orderest.cli import main
 
 SPEC = """
@@ -56,6 +57,24 @@ def test_simulate_then_fit_then_order(spec_file, tmp_path, capsys):
                  "--out", str(tmp_path / "order.csv")]) == 0
     out = capsys.readouterr().out
     assert "k_local=2" in out and "k_global=2" in out
+
+
+@pytest.mark.parametrize("command", ["order", "fit", "campaign"])
+def test_commands_fit_k_up_to_k_max(command, spec_file, tmp_path, monkeypatch):
+    # order, the default fit and every trial of a campaign ask for K = 1..k_max
+    sample = tmp_path / "sample.csv"
+    assert main(["simulate", "--spec", spec_file, "--out", str(sample)]) == 0
+    asked = []
+    real = fitting.fit
+
+    def counting(sample, config, ks, warm=None):
+        asked.append(tuple(ks))
+        return real(sample, config, ks, warm)
+
+    monkeypatch.setattr(fitting, "fit", counting)
+    sample_args = [] if command == "campaign" else ["--sample", str(sample)]
+    assert main([command, "--spec", spec_file, *sample_args]) == 0
+    assert asked == [(1, 2, 3)] * (5 if command == "campaign" else 1)
 
 
 def test_fit_single_k(spec_file, tmp_path):
@@ -208,31 +227,32 @@ output_dir = {out}
 """
 
 
-@pytest.mark.parametrize("flags", [[], ["--mode", "entropy_table", "--k-max", "3"]])
+@pytest.mark.parametrize("flags", [[], ["--mode", "entropy_table"]])
 def test_ac_k_beyond_depth_cap_fails_before_the_campaign(flags, tmp_path, capsys):
-    # K = 3 needs a depth-2 tree: exit 2 at the spec, before the schedule
+    # k_max = 3 needs a depth-2 tree: exit 2 at the spec, before the schedule
     # warning and before any output is written
     path = tmp_path / "ac.spec"
     path.write_text(AC_SPEC.format(out=tmp_path / "out"))
-    assert main(["campaign", "--spec", str(path), *flags]) == 2
+    assert main(["campaign", "--spec", str(path), "--k-max", "3", *flags]) == 2
     err = capsys.readouterr().err
-    mode, k_max = ("entropy_table", 3) if flags else ("consistency", 2)
-    assert err == f"error: mode={mode} (k_max = {k_max}): K=3 exceeds 2**ac_depth_max = 2\n"
+    mode = "entropy_table" if flags else "consistency"
+    assert err == f"error: mode={mode} (k_max = 3): K=3 exceeds 2**ac_depth_max = 2\n"
     assert not (tmp_path / "out").exists()
 
 
 def test_flags_can_mend_a_spec_file(tmp_path):
-    # the file alone fits K = 3 at depth 1; the spec is checked as the flags leave it
+    # the file alone fits K = 3 at depth 1; the spec is checked as the flags
+    # leave it, and k_max = 2 = 2**ac_depth_max is within reach
     path = tmp_path / "ac.spec"
-    path.write_text(AC_SPEC.format(out=tmp_path / "out"))
-    assert main(["campaign", "--spec", str(path), "--k-max", "1"]) == 0
+    path.write_text(AC_SPEC.format(out=tmp_path / "out").replace("k_max = 2", "k_max = 3"))
+    assert main(["campaign", "--spec", str(path), "--k-max", "2"]) == 0
     assert (tmp_path / "out" / "consistency_results.csv").exists()
 
 
 @pytest.mark.parametrize("command", [["campaign"], ["order", "--sample", "missing.csv"]],
                          ids=["campaign", "order"])
 @pytest.mark.parametrize("schedule, message", [
-    ("bic D=dim*nan", "finite weights, got (nan, nan, nan, nan)"),
+    ("bic D=dim*nan", "finite weights, got (nan, nan, nan)"),
     ("logpower:inf", "needs a finite eps > 0, got inf"),
     ("power:abc", "bad number 'abc' in schedule token 'power:abc'"),
 ], ids=["nan-weight", "inf-eps", "bad-number"])
@@ -251,28 +271,34 @@ def test_non_finite_schedule_exits_2(command, schedule, message, spec_file, tmp_
     (["entropy", "--k-top", "3"], 3),
 ], ids=["order", "fit", "fit-k-top", "fit-k", "entropy-k-top"])
 def test_each_command_checks_its_own_ac_reach(argv, k, tmp_path, capsys):
-    # the entropy table of k_max = 2 fits a depth-1 tree, but order and the
-    # default fit profile to K = 3: each command checks the K it will fit,
-    # before the sample is read (missing.csv does not exist)
+    # the invariants mode fits nothing, so the spec of k_max = 3 builds at
+    # depth 1, but order and the default fit profile to K = 3: each command
+    # checks the K it will fit, before the sample is read (missing.csv does
+    # not exist)
     path = tmp_path / "ac.spec"
     path.write_text(AC_SPEC.format(out=tmp_path / "out").replace(
-        "mode = consistency", "mode = entropy_table"))
+        "mode = consistency", "mode = invariants").replace("k_max = 2", "k_max = 3"))
     assert main([argv[0], "--spec", str(path), *argv[1:]]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: orderest {argv[0]} (k_max = 2): K={k} exceeds 2**ac_depth_max = 2\n"
+    assert err == f"error: orderest {argv[0]} (k_max = 3): K={k} exceeds 2**ac_depth_max = 2\n"
     assert not (tmp_path / "out").exists()
 
 
-def test_ac_fit_within_reach_runs(tmp_path):
+def test_ac_fit_within_reach_runs(tmp_path, capsys):
+    # k_max = 2 = 2**ac_depth_max: order and the default fit profile to K = 2
     path = tmp_path / "ac.spec"
-    path.write_text(AC_SPEC.format(out=tmp_path / "out").replace(
-        "mode = consistency", "mode = entropy_table"))
+    path.write_text(AC_SPEC.format(out=tmp_path / "out"))
     sample = tmp_path / "sample.csv"
     assert main(["simulate", "--spec", str(path), "--out", str(sample)]) == 0
     fit = tmp_path / "fit.csv"
-    assert main(["fit", "--spec", str(path), "--sample", str(sample), "--k-top", "2",
+    assert main(["fit", "--spec", str(path), "--sample", str(sample),
                  "--out", str(fit)]) == 0
     assert len(fit.read_text().splitlines()) == 3
+    order = tmp_path / "order.csv"
+    assert main(["order", "--spec", str(path), "--sample", str(sample),
+                 "--out", str(order)]) == 0
+    assert [line.split(",")[0] for line in order.read_text().splitlines()] == ["K", "1", "2"]
+    assert re.fullmatch(r"k_local=[12] k_global=[12]", capsys.readouterr().out.splitlines()[-1])
 
 
 LM_SPEC = """
@@ -296,8 +322,8 @@ output_dir = {out}
 
 
 @pytest.mark.parametrize("argv, what, k_max", [
-    (["campaign", "--k-max", "64"], "mode=consistency", 64),
-    (["order", "--k-max", "64", "--sample", "missing.csv"], "mode=consistency", 64),
+    (["campaign", "--k-max", "65"], "mode=consistency", 65),
+    (["order", "--k-max", "65", "--sample", "missing.csv"], "mode=consistency", 65),
     (["fit", "--k-top", "65", "--sample", "missing.csv"], "orderest fit", 2),
 ], ids=["campaign", "order", "fit-k-top"])
 def test_lm_k_beyond_hard_cap_fails_before_any_fit(argv, what, k_max, tmp_path, capsys):

@@ -9,7 +9,7 @@ from orderest import (
     Family, FitResult, PenaltySchedule, ThetaVR, UsageError, dim_weights, estimate_orders,
     linear_weights, parse_schedule, validate_schedule,
 )
-from orderest.criterion import crit_values, loglog, scan_top
+from orderest.criterion import crit_values, loglog
 from orderest.fitting import ProfileCurve
 
 
@@ -168,9 +168,11 @@ class TestEstimators:
         assert estimate_orders(prof, self.sched, 2).k_local == 1
 
     def test_increasing_crit_hits_cap(self):
-        prof = make_profile([0.0, 10.0, 20.0])
-        est = estimate_orders(prof, self.sched, k_max=2)
-        assert est.k_local == 2 and est.scan_cap_hit
+        # crit rises through k_max = 2: the local scan ends there, and the
+        # crit at K = 3 is not read
+        for lls in ([0.0, 10.0], [0.0, 10.0, 20.0], [0.0, 10.0, 0.0]):
+            est = estimate_orders(make_profile(lls), self.sched, k_max=2)
+            assert (est.k_local, est.k_global) == (2, 2) and list(est.crit_values) == [1, 2]
 
     def test_global_smallest_argmax(self):
         assert estimate_orders(self.prof4, self.sched, 3).k_global == 2
@@ -186,15 +188,17 @@ class TestEstimators:
     def test_crit_at_the_profile_n(self):
         # the same logliks at n = 100^2: the penalties double, crit = (8, 8, 6.5)
         prof = make_profile([10.0, 12.0, 12.5], n=self.n ** 2)
-        est = estimate_orders(prof, self.sched, 2)
+        est = estimate_orders(prof, self.sched, 3)
         assert est.crit_values[3] == pytest.approx(6.5, abs=1e-12)
         assert (est.k_local, est.k_global) == (1, 1)
 
     def test_requires_coverage(self):
-        # the local scan to 3 reads crit at K = 4; the profile stops at 3
-        assert scan_top(2) == 3 and scan_top(3) == 4
-        with pytest.raises(UsageError, match="up to K=4"):
-            estimate_orders(self.prof, self.sched, 3)
+        # the estimators read crit at K = 1..k_max: a profile to 3 serves
+        # k_max = 3, not 4
+        est = estimate_orders(self.prof, self.sched, 3)
+        assert (est.k_local, est.k_global) == (2, 2)
+        with pytest.raises(UsageError, match="up to K=4, not 3"):
+            estimate_orders(self.prof, self.sched, 4)
 
     @given(st.lists(st.floats(-50, 50), min_size=4, max_size=8),
            st.sampled_from(["bic", "power", "iterlog"]))

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from orderest import (
-    Family, FitError, ModelConfig, ThetaLM, ThetaVR, UsageError, fit_exponent,
+    Family, FitError, ModelConfig, ThetaLM, ThetaVR, UsageError, estimate_orders, fit_exponent,
     fit_moderate_rate, is_underestimation_prob, mc_error_probs, order_trials,
-    parse_schedule, peeling_assert, simulate, slln_trace, wilson_interval,
+    parse_schedule, peeling_assert, profile, simulate, slln_trace, wilson_interval,
 )
-from orderest import deviations
+from orderest import deviations, fitting
+from orderest.criterion import TIE_TOL, crit_values
 from orderest.deviations import tally_orders
 from orderest.fitting import fit
 from orderest.models import (
@@ -46,7 +47,56 @@ class TestWilson:
             wilson_interval(k, n)
 
 
+def _orders_read_to_k_max_plus_one(prof, schedule, k_max):
+    """The estimators on crit at K = 1..k_max + 1, the reference rule: the
+    local one compares crit(k_max) with crit(k_max + 1), and returns k_max
+    either way."""
+    values = crit_values(prof.logliks(), schedule, prof.n)
+    k_local = next((k for k in range(1, k_max + 1)
+                    if values[k] >= values[k + 1] - TIE_TOL), None)
+    best = max(values[k] for k in range(1, k_max + 1))
+    k_global = next(k for k in range(1, k_max + 1) if values[k] >= best - TIE_TOL)
+    return k_local or k_max, k_global
+
+
 class TestOrderTrials:
+    @pytest.mark.parametrize("config, k_max, samples", [
+        (LM, 3, 12), (VR, 4, 40), (ModelConfig(Family.VR, sigma=1.0, m_lo=0.0), 4, 40),
+        (AC, 3, 12)])
+    def test_orders_need_no_fit_past_k_max(self, config, k_max, samples):
+        # on frozen samples, with a penalty small enough that crit often rises
+        # through k_max, the orders from a profile to k_max equal those the
+        # old rule read from a profile to k_max + 1
+        rng = rng_for(2601, list(Family).index(config.family))
+        hits = 0
+        for i in range(samples):
+            theta = random_theta(config, int(rng.integers(1, k_max + 1)), rng)
+            sample = simulate(config, theta, int(rng.integers(40, 201)), derive_seed(2602, i))
+            short, long = profile(sample, config, k_max), profile(sample, config, k_max + 1)
+            for spec in ("bic D=dim", "bic D=dim*0.02"):
+                schedule = parse_schedule(spec, config.family, k_max + 1)
+                est = estimate_orders(short, schedule, k_max)
+                want = _orders_read_to_k_max_plus_one(long, schedule, k_max)
+                assert (est.k_local, est.k_global) == want, (i, spec)
+                hits += est.k_local == k_max
+        assert 0 < hits < 2 * samples
+
+    @pytest.mark.parametrize("config, theta", [
+        (LM, ThetaLM((0.3, 0.4, 0.3), (-2.0, 0.0, 2.0))), (VR, ThetaVR((1.0, 0.5))),
+        (AC, TWO_CELL)])
+    def test_a_trial_fits_k_up_to_k_max(self, config, theta, monkeypatch):
+        asked = []
+        real = fitting.fit
+
+        def counting(sample, config, ks, warm=None):
+            asked.append(tuple(ks))
+            return real(sample, config, ks, warm)
+
+        monkeypatch.setattr(fitting, "fit", counting)
+        sched = parse_schedule("bic D=dim*0.001", config.family, 3)
+        orders = order_trials(config, theta, sched, 80, 3, seed=7, k_max=3)
+        assert asked == [(1, 2, 3)] * 3
+        assert (orders[:, 0] == 3).any()  # a local scan that ran to k_max
     def test_deterministic_and_partition_invariant(self):
         full = order_trials(VR, ThetaVR((1.0, 0.5)), POWER_DIM, 200, 12, seed=5, k_max=3)
         again = order_trials(VR, ThetaVR((1.0, 0.5)), POWER_DIM, 200, 12, seed=5, k_max=3)

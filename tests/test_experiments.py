@@ -72,7 +72,7 @@ def specs(draw):
                               Leaf(values[1])))
     mode, k_max = draw(st.sampled_from(MODES)), draw(st.integers(1, 8))
     # an AC tree of depth d holds the largest K the mode fits only if 2**d >= K
-    k_top = {"entropy_table": k_max, "invariants": 1}.get(mode, k_max + 1)
+    k_top = 1 if mode == "invariants" else k_max
     depth_min = (k_top - 1).bit_length() if family is Family.AC else 1
     config = ModelConfig(family, sigma=draw(st.floats(0.0, exclude_min=True,
                                                       allow_infinity=False)),
@@ -175,36 +175,37 @@ class TestParseSpec:
         with pytest.raises(UsageError, match=re.escape("n_grid entries must be >= 1, got 0")):
             spec_for(tmp_path, mode=mode, n_grid=(0, 5))
 
-    @pytest.mark.parametrize("mode, k_max", [("consistency", 64), ("entropy_table", 65)])
+    # k_max in the cap tests below is the largest a spec accepts: every mode
+    # but invariants fits K = 1..k_max, so k_max + 1 is refused
+
+    @pytest.mark.parametrize("mode, k_max", [("consistency", 64), ("entropy_table", 64)])
     def test_lm_k_beyond_hard_cap_rejected(self, tmp_path, mode, k_max):
-        # an LM mixture has at most models.K_HARD_CAP = 64 components: the MC
-        # modes fit K up to k_max + 1, the entropy table K up to k_max
+        # an LM mixture has at most models.K_HARD_CAP = 64 components
         lm = dict(config=ModelConfig(Family.LM, sigma=1.0),
                   theta_star=ThetaLM((0.5, 0.5), (-1.0, 1.0)), mode=mode)
-        spec_for(tmp_path, k_max=k_max - 1, **lm)
+        spec_for(tmp_path, k_max=k_max, **lm)
         with pytest.raises(UsageError, match="^" + re.escape(
-                f"mode={mode} (k_max = {k_max}): K=65 exceeds the hard cap 64") + "$"):
-            spec_for(tmp_path, k_max=k_max, **lm)
+                f"mode={mode} (k_max = 65): K=65 exceeds the hard cap 64") + "$"):
+            spec_for(tmp_path, k_max=k_max + 1, **lm)
 
-    @pytest.mark.parametrize("mode, k_max", [("consistency", 64), ("entropy_table", 65)])
+    @pytest.mark.parametrize("mode, k_max", [("consistency", 64), ("entropy_table", 64)])
     def test_vr_k_beyond_hard_cap_rejected(self, tmp_path, mode, k_max):
         # so is a VR expansion: a spec past the cap once fitted a basis of that width
-        spec_for(tmp_path, k_max=k_max - 1, mode=mode)
+        spec_for(tmp_path, k_max=k_max, mode=mode)
         with pytest.raises(UsageError, match="^" + re.escape(
-                f"mode={mode} (k_max = {k_max}): K=65 exceeds the hard cap 64") + "$"):
-            spec_for(tmp_path, k_max=k_max, mode=mode)
+                f"mode={mode} (k_max = 65): K=65 exceeds the hard cap 64") + "$"):
+            spec_for(tmp_path, k_max=k_max + 1, mode=mode)
 
     @pytest.mark.parametrize("mode, k_max", [("consistency", 2), ("under_exponent", 2),
-                                             ("over_rate", 2), ("entropy_table", 3)])
+                                             ("over_rate", 2), ("entropy_table", 2)])
     def test_ac_k_beyond_depth_cap_rejected(self, tmp_path, mode, k_max):
-        # depth 1 holds 2 leaves: the MC modes fit K up to k_max + 1, the
-        # entropy table K up to k_max; both reach K = 3
+        # depth 1 holds 2 leaves
         ac = dict(config=ModelConfig(Family.AC, sigma=1.0, ac_depth_max=1),
                   theta_star=ThetaAC(Split(1, 0.5, Leaf(0.0), Leaf(1.0))), mode=mode)
-        spec_for(tmp_path, k_max=k_max - 1, **ac)
+        spec_for(tmp_path, k_max=k_max, **ac)
         with pytest.raises(UsageError, match="^" + re.escape(
-                f"mode={mode} (k_max = {k_max}): K=3 exceeds 2**ac_depth_max = 2") + "$"):
-            spec_for(tmp_path, k_max=k_max, **ac)
+                f"mode={mode} (k_max = 3): K=3 exceeds 2**ac_depth_max = 2") + "$"):
+            spec_for(tmp_path, k_max=k_max + 1, **ac)
 
     @pytest.mark.parametrize("family, theta, key", [
         ("VR", "theta.kind = vr\ntheta.coeffs = 1 x", "theta.coeffs"),

@@ -28,7 +28,6 @@ from orderest import (
     Family, Leaf, ModelConfig, Sample, Split, ThetaAC, estimate_orders, guillotine,
     parse_schedule, profile, project_entropy, random_theta, simulate, stein_bound,
 )
-from orderest.criterion import scan_top
 from orderest.deviations import _TRIAL_STREAM
 from orderest.fitting import _lm_start_list
 from orderest.models import derive_seed, rng_for, sample_from_csv, sample_to_csv
@@ -108,9 +107,8 @@ SAMPLES = {"LM": _lm_samples, "VR": _vr_samples, "AC": _ac_samples}
 
 def _fit(config, sample):
     k_max = K_MAX[config.family]
-    curve = profile(sample, config, scan_top(k_max))
-    orders = estimate_orders(curve, parse_schedule("bic D=dim", config.family,
-                                                   scan_top(k_max)), k_max)
+    curve = profile(sample, config, k_max)
+    orders = estimate_orders(curve, parse_schedule("bic D=dim", config.family, k_max), k_max)
     return curve.logliks(), (orders.k_local, orders.k_global)
 
 
@@ -142,7 +140,7 @@ def test_lm_refit_from_csv_is_identical():
         sample = simulate(LM, theta, int(rng.integers(50, 201)),
                           derive_seed(1310, _TRIAL_STREAM, t))
         back = sample_from_csv(sample_to_csv(sample))
-        assert profile(back, LM, scan_top(3)) == profile(sample, LM, scan_top(3)), t
+        assert profile(back, LM, 4) == profile(sample, LM, 4), t
 
 
 @pytest.mark.parametrize("box", [(-2.0, 2.0), (-0.5, 1.5)])

@@ -53,7 +53,7 @@ def test_one_estimate_reads_crit_values_once(monkeypatch):
     monkeypatch.setattr(criterion, "crit_values", counting)
     entries = tuple(FitResult(ThetaVR((0.0,)), ll, 1, True, 1) for ll in (10.0, 12.0, 12.5))
     prof = ProfileCurve(n=100, family=Family.VR, entries=entries)
-    est = estimate_orders(prof, parse_schedule("bic D=dim", Family.VR, 3), 2)
+    est = estimate_orders(prof, parse_schedule("bic D=dim", Family.VR, 3), 3)
     assert len(calls) == 1
     assert sorted(est.crit_values) == [1, 2, 3]
 
