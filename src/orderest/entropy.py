@@ -18,13 +18,9 @@ LM divergence is one 8-point Gauss-Legendre rule on one kind of grid
 (_lm_grid): panels sigma/8 wide, reaching 13 sigmas past the means in play,
 and at most 2^16 of them.  A projection minimizes the divergence discretized
 on the grid of the box and the target's means, on which the target's
-log-density is evaluated once, and L-BFGS-B gets the exact gradient of that
-discretized objective.
-
-That L-BFGS-B search is the package's only use of scipy, so _project_lm
-imports scipy.optimize itself: importing orderest, and every run that projects
-no LM target, never loads scipy (about half a second and 40 MB).  An LM
-campaign that projects loads it while its spec is built (ExperimentSpec).
+log-density is evaluated once, by a projected BFGS search (_projected_bfgs)
+on the exact gradient of that discretized objective.  The forward projection
+at K = 1 needs no search: it is the Gaussian at the target's clipped mean.
 """
 
 from __future__ import annotations
@@ -41,7 +37,15 @@ from .models import (
     lm_start_means, logsumexp_rows, mixture_log_components, true_order, validate_theta,
 )
 
-_PROJECTION_STARTS = 8  # L-BFGS starts of an LM projection (models.lm_start_means)
+_PROJECTION_STARTS = 8  # starts of an LM projection search (models.lm_start_means)
+_LOGIT_BOUND = 30.0  # the box of a projection's free logits
+# _projected_bfgs stops when no projected-gradient entry exceeds _SEARCH_GTOL,
+# or after _SEARCH_MAX_STEPS steps; a step is halved at most _SEARCH_HALVINGS
+# times to gain _ARMIJO of its first-order decrease.
+_SEARCH_GTOL = 1e-8
+_SEARCH_MAX_STEPS = 1000
+_SEARCH_HALVINGS = 40
+_ARMIJO = 1e-4
 # The grid of every LM divergence (_lm_grid) reaches this many sigmas past the
 # means in play, so it covers their mass, in panels this many sigmas wide; a
 # grid of more panels than the cap is refused.
@@ -204,29 +208,85 @@ def _projection_grid(config: ModelConfig, target: ThetaLM) -> tuple[float, float
                     max(max(target.means), config.m_hi))
 
 
+def _projected_bfgs(objective, x0: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> tuple[float, np.ndarray]:
+    """(value, point) of a local minimum of objective in the box [lo, hi], from x0.
+
+    A projected quasi-Newton search (Bertsekas 1982, SIAM J. Control Optim.
+    20(2)): the coordinates at a bound whose gradient points out of the box are
+    held there, the others step along -H g with H a BFGS inverse Hessian on
+    them, scaled at its first update by y.s / y.y (Shanno & Phua 1978, Math.
+    Programming 14), and the step is halved along the projected path until it
+    gains an Armijo fraction of its first-order decrease.  When no step gains,
+    H is reset to a projected gradient step, and the search stops when that
+    fails too, or when the projected gradient's largest entry is at most
+    _SEARCH_GTOL."""
+    x = np.clip(x0, lo, hi)
+    f, g = objective(x)
+    h = None  # the inverse Hessian, from the first update that sees curvature
+    for _ in range(_SEARCH_MAX_STEPS):
+        if np.max(np.abs(x - np.clip(x - g, lo, hi))) <= _SEARCH_GTOL:
+            break
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        d = np.zeros_like(x)
+        if h is None:
+            d[free] = -g[free] / max(1.0, np.max(np.abs(g[free])))
+        else:
+            d[free] = -np.einsum("ij,j->i", h[np.ix_(free, free)], g[free])
+        step = 1.0
+        for _ in range(_SEARCH_HALVINGS):
+            x_new = np.clip(x + step * d, lo, hi)
+            f_new, g_new = objective(x_new)
+            if f_new <= f + _ARMIJO * float(np.dot(g, x_new - x)) and f_new < f:
+                break
+            step *= 0.5
+        else:
+            if h is None:
+                break
+            h = None
+            continue
+        s, y = x_new - x, np.where(free, g_new - g, 0.0)
+        sy = float(np.dot(s, y))
+        if sy > 1e-12 * math.sqrt(float(np.dot(s, s)) * float(np.dot(y, y))):
+            if h is None:
+                h = np.eye(x.size) * (sy / float(np.dot(y, y)))
+            hy = np.einsum("ij,j->i", h, y)
+            h += ((sy + float(np.dot(y, hy))) / sy ** 2 * np.outer(s, s)
+                  - (np.outer(hy, s) + np.outer(s, hy)) / sy)
+        x, f, g = x_new, f_new, g_new
+    return f, x
+
+
 def _project_lm(config: ModelConfig, target: ThetaLM, k: int,
                 reverse: bool) -> tuple[EntropyValue, ThetaLM]:
-    """Multi-start L-BFGS-B for inf over Theta_K of H(target | theta), or of
-    H(theta | target) with reverse, on the grid of _projection_grid.  The grid
-    only steers the search: the value at the optimum is re-evaluated by
-    kl_mixture_quadrature, on the grid of its own two parameters' means."""
-    from scipy.optimize import minimize  # only here: see the module docstring
-
-    objective = _projection_objective(config, target, k, reverse,
-                                      *_projection_grid(config, target))
-
-    spread = np.quantile(np.asarray(target.means), (np.arange(k) + 0.5) / k) if k > 1 \
-        else np.asarray([float(np.dot(target.weights, target.means))])
-    scale = max(config.sigma, (max(target.means) - min(target.means)) / max(k, 1))
-    bounds = ([(-30.0, 30.0)] * (k - 1)) + [(config.m_lo, config.m_hi)] * k
-    best_val, best_x = math.inf, None
-    for means0 in lm_start_means(config, spread, scale, _PROJECTION_STARTS):
-        x0 = np.concatenate([np.zeros(k - 1), means0])
-        res = minimize(objective, x0, method="L-BFGS-B", jac=True, bounds=bounds)
-        if res.fun < best_val:
-            best_val, best_x = float(res.fun), res.x
-    weights, means = _decode_lm(best_x, k)
-    theta_hat = ThetaLM(tuple(weights), tuple(means))
+    """inf over Theta_K of H(target | theta), or of H(theta | target) with
+    reverse.  Forward at K = 1 it is attained at N(clip(sum w_i m_i)): the
+    divergence is a quadratic in the one mean, plus a constant.  Otherwise
+    _projected_bfgs runs from _PROJECTION_STARTS starts on the grid of
+    _projection_grid, over logits in [-30, 30] and means in the box; a grid
+    past the panel cap is refused in both cases, so whether a sigma projects
+    does not depend on K.  The grid only steers the search: the value at the
+    optimum is re-evaluated by kl_mixture_quadrature, on the grid of its own
+    two parameters' means."""
+    grid = _projection_grid(config, target)
+    if k == 1 and not reverse:
+        mean = np.clip(np.dot(target.weights, target.means), config.m_lo, config.m_hi)
+        theta_hat = ThetaLM((1.0,), (float(mean),))
+    else:
+        objective = _projection_objective(config, target, k, reverse, *grid)
+        spread = np.quantile(np.asarray(target.means), (np.arange(k) + 0.5) / k) if k > 1 \
+            else np.asarray([float(np.dot(target.weights, target.means))])
+        scale = max(config.sigma, (max(target.means) - min(target.means)) / k)
+        lo = np.concatenate([np.full(k - 1, -_LOGIT_BOUND), np.full(k, config.m_lo)])
+        hi = np.concatenate([np.full(k - 1, _LOGIT_BOUND), np.full(k, config.m_hi)])
+        best_val, best_x = math.inf, None
+        for means0 in lm_start_means(config, spread, scale, _PROJECTION_STARTS):
+            value, x = _projected_bfgs(objective, np.concatenate([np.zeros(k - 1), means0]),
+                                       lo, hi)
+            if value < best_val:
+                best_val, best_x = value, x
+        weights, means = _decode_lm(best_x, k)
+        theta_hat = ThetaLM(tuple(weights), tuple(means))
     a, b = (theta_hat, target) if reverse else (target, theta_hat)
     acc = kl_mixture_quadrature(a, b, config)
     return EntropyValue(max(acc.value, 0.0), "optimized", max(acc.tol, 1e-6)), theta_hat

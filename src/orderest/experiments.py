@@ -95,10 +95,6 @@ class ExperimentSpec:
         if self.mode != "invariants":  # every other mode fits K = 1..k_max
             self.check_reach(self.k_max, f"mode={self.mode}")
         self.schedule()
-        if self.config.family is Family.LM and self.mode in ("entropy_table", "under_exponent"):
-            # the run projects an LM target, whose search needs scipy.optimize:
-            # pay its import while the spec is built, not inside the run
-            import scipy.optimize  # noqa: F401
 
     def check_reach(self, k_top: int, what: str) -> None:
         """models.check_k of k_top, its error prefixed by what: the fitting mode or command."""

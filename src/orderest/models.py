@@ -413,8 +413,10 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     Rows where that is not finite (all -inf, or +inf) take log(sum(exp(a))).
 
     The max and m are exact whatever the order, so they are taken column by
-    column, which is much faster than a reduction over a short last axis; the
-    sum keeps numpy's reduction, the one scipy uses."""
+    column, which is much faster than a reduction over a short last axis.  The
+    sum must keep numpy's order, the one scipy uses: numpy adds an axis of
+    fewer than 8 entries left to right, so such an axis is summed column by
+    column too, and a longer one by numpy's own (pairwise) reduction."""
     a_max = a[..., 0]
     for j in range(1, a.shape[-1]):
         a_max = np.maximum(a_max, a[..., j])
@@ -423,7 +425,13 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     for j in range(1, a.shape[-1]):
         m += top[..., j]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.exp(np.where(top, -np.inf, a) - a_max[..., None]).sum(axis=-1)
+        terms = np.exp(np.where(top, -np.inf, a) - a_max[..., None])
+        if a.shape[-1] < 8:
+            s = terms[..., 0]
+            for j in range(1, a.shape[-1]):
+                s = s + terms[..., j]
+        else:
+            s = terms.sum(axis=-1)
         out = np.log1p(s / m) + np.log(m) + a_max
         if not np.isfinite(out).all():
             bad = ~np.isfinite(out)

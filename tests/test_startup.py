@@ -1,11 +1,9 @@
-"""What the package loads, each case in a fresh interpreter.
+"""What the package loads, each case in a fresh interpreter with scipy blocked.
 
-scipy.optimize serves only the LM projection search; importing the package,
-the VR CLI commands, the VR and AC projection tables and the campaigns that
-project no LM target never load scipy.  An LM spec whose run projects
-(entropy_table, under_exponent) loads scipy.optimize while it is built, and
-no campaign imports anything once it runs, so a module's first-use cost never
-lands inside a timed run."""
+scipy is a test dependency only: importing the package, every CLI command,
+every projection table and every campaign run with any import of scipy
+raising ImportError, and no campaign imports anything once it runs, so a
+module's first-use cost never lands inside a timed run."""
 
 import importlib.util
 import json
@@ -31,6 +29,24 @@ spec = power:0.4 D=dim
 
 [run]
 n_grid = 200
+seed = 77
+k_max = 3
+output_dir = {out}
+"""
+
+LM_SPEC = """
+[model]
+family = LM
+sigma = 1.0
+theta.kind = lm
+theta.weights = 0.3 0.4 0.3
+theta.means = -2 0 2
+
+[schedule]
+spec = bic D=dim
+
+[run]
+n_grid = 100
 seed = 77
 k_max = 3
 output_dir = {out}
@@ -70,22 +86,42 @@ def _workloads():
     return sys.modules[name]
 
 
+# This finder, first on sys.meta_path, fails every import of scipy or of a
+# scipy submodule, wherever it comes from.
+BLOCK_SCIPY = """
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked here: {name}")
+        return None
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
 def _fresh(code: str, *args: str) -> dict:
-    """Run code in a fresh interpreter that imports orderest from src/; the
-    code's last line of stdout is JSON, returned parsed."""
-    prelude = f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n"
+    """Run code in a fresh interpreter that imports orderest from src/ and
+    cannot import scipy; the run must exit 0, and the code's last line of
+    stdout is JSON, returned parsed."""
+    prelude = f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n{BLOCK_SCIPY}"
     proc = subprocess.run([sys.executable, "-c", prelude + code, *args],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-SCIPY_LOADED = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+def test_scipy_is_blocked():
+    code = """
+try:
+    import scipy.special
+except ImportError as err:
+    print(json.dumps(str(err)))
+"""
+    assert _fresh(code) == "scipy is blocked here: scipy"
 
 
 @pytest.mark.parametrize("module", ["orderest", "orderest.cli"])
 def test_import_loads_no_scipy(module):
-    assert _fresh(f"import {module}\nprint(json.dumps({SCIPY_LOADED}))") == []
+    assert _fresh(f"import {module}\nprint(json.dumps({module!r} in sys.modules))") is True
 
 
 def test_vr_commands_load_no_scipy(tmp_path):
@@ -102,16 +138,17 @@ rcs = [main(["simulate", "--spec", spec, "--out", sample]),
        main(["order", "--spec", spec, "--sample", sample]),
        main(["simulate", "--spec", spec, "--n", "20", "--out", small]),
        main(["fit", "--spec", spec, "--sample", small, "--k", "25", "--out", fit])]
-print(json.dumps({{"rcs": rcs, "scipy": {SCIPY_LOADED}}}))
+print(json.dumps(rcs))
 """
-    assert _fresh(code) == {"rcs": [0, 0, 0, 0, 0], "scipy": []}
+    assert _fresh(code) == [0, 0, 0, 0, 0]
     k, _, converged, changes = Path(fit).read_text().splitlines()[1].split(",")
     assert (k, converged) == ("25", "1") and int(changes) > 0
 
 
-@pytest.mark.parametrize("text, k_max", [(AC_SPEC, 4), (VR_SPEC, 3)], ids=["AC", "VR"])
+@pytest.mark.parametrize("text, k_max", [(AC_SPEC, 4), (VR_SPEC, 3), (LM_SPEC, 3)],
+                         ids=["AC", "VR", "LM"])
 def test_entropy_command_loads_no_scipy(text, k_max, tmp_path):
-    """A regression family's projection table is closed form: no optimizer."""
+    """The closed forms of VR and AC, and LM's projection searches."""
     spec = tmp_path / "model.spec"
     spec.write_text(text.format(out=tmp_path / "out"))
     code = f"""
@@ -120,10 +157,9 @@ from orderest.cli import main
 table = io.StringIO()
 with contextlib.redirect_stdout(table):
     rc = main(["entropy", "--spec", {str(spec)!r}])
-print(json.dumps({{"rc": rc, "rows": len(table.getvalue().splitlines()),
-                  "scipy": {SCIPY_LOADED}}}))
+print(json.dumps({{"rc": rc, "rows": len(table.getvalue().splitlines())}}))
 """
-    assert _fresh(code) == {"rc": 0, "rows": 1 + 2 * k_max, "scipy": []}
+    assert _fresh(code) == {"rc": 0, "rows": 1 + 2 * k_max}
 
 
 RUN_SPEC = """
@@ -133,28 +169,24 @@ spec = experiments.parse_spec(open(sys.argv[1]).read())
 built = sorted(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     rc = experiments.run(spec)
-print(json.dumps({"rc": rc, "optimize_at_build": "scipy.optimize" in built,
-                  "run_imported": sorted(set(sys.modules) - set(built))}))
+print(json.dumps({"rc": rc, "run_imported": sorted(set(sys.modules) - set(built))}))
 """
 
 
 @pytest.mark.parametrize("name", sorted(_workloads().WORKLOADS))
 def test_campaign_run_imports_nothing(name, tmp_path):
     workloads = _workloads()
-    wl = workloads.WORKLOADS[name]
     spec = tmp_path / "spec.txt"
-    spec.write_text(wl.spec_text(workloads.DEFAULT_SEED, "tiny", str(tmp_path / "out")))
-    res = _fresh(RUN_SPEC, str(spec))
-    projects_lm = "family = LM" in wl.model and wl.mode in ("entropy_table", "under_exponent")
-    assert res == {"rc": 0, "optimize_at_build": projects_lm, "run_imported": []}
+    spec.write_text(workloads.WORKLOADS[name].spec_text(workloads.DEFAULT_SEED, "tiny",
+                                                        str(tmp_path / "out")))
+    assert _fresh(RUN_SPEC, str(spec)) == {"rc": 0, "run_imported": []}
 
 
-def test_lm_under_exponent_spec_loads_the_optimizer(tmp_path):
+def test_lm_under_exponent_campaign_runs_without_scipy(tmp_path):
+    """The importance sampler projects the truth onto K* - 1 for its tilt."""
     wl = _workloads().WORKLOADS["lm_mc"]
     spec = tmp_path / "spec.txt"
     spec.write_text(wl.spec_text(1, "tiny", str(tmp_path / "out"))
                     .replace("mode = consistency", "mode = under_exponent"))
-    code = ("from orderest import experiments\n"
-            "experiments.parse_spec(open(sys.argv[1]).read())\n"
-            "print(json.dumps('scipy.optimize' in sys.modules))")
-    assert _fresh(code, str(spec)) is True
+    assert _fresh(RUN_SPEC, str(spec)) == {"rc": 0, "run_imported": []}
+    assert (tmp_path / "out" / "under_exponent_results.csv").is_file()
